@@ -48,7 +48,8 @@ def _bareiss_echelon(m: Matrix) -> tuple[Matrix, list[int]]:
             for j in range(c, ncols):
                 num = row_i[j] * pivot - head * row_r[j]
                 q, rem = divmod(num, prev)
-                assert rem == 0, "fraction-free update was not integral"
+                if rem:
+                    raise AssertionError("fraction-free update was not integral")
                 row_i[j] = q
         prev = pivot
         pivots.append(c)

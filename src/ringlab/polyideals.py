@@ -30,7 +30,12 @@ from .linalg import solve_mod_p, solve_rational
 from .polynomials import Polynomial, PolyRing, monomials_up_to
 
 RATIONAL_GRID_SPAN = 5
-POINT_SCAN_LIMIT = 1_000_000
+SCAN_LIMIT = 1_000_000  # points in one exhaustive F_p^n scan (variety, videal, member)
+
+
+def check_scan_size(p: int, n: int) -> None:
+    if p ** n > SCAN_LIMIT:
+        raise TooLarge(f"{p}^{n} points exceed the desk-scale scan limit of {SCAN_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -112,13 +117,15 @@ def membership_bounded(f: Polynomial, ideal: IdealPresentation, bound: int) -> M
     cofactors = _solve_combination(f, ideal.generators, bound)
     if cofactors is not None:
         cert = MembershipCertificate(MEMBER, bound, cofactors=cofactors)
-        assert cert.verify(f, ideal)
+        if not cert.verify(f, ideal):
+            raise AssertionError("solved cofactors failed to verify")
         return cert
 
     witness = _non_membership_witness(f, ideal)
     if witness is not None:
         cert = MembershipCertificate(NON_MEMBER, bound, witness=witness)
-        assert cert.verify(f, ideal)
+        if not cert.verify(f, ideal):
+            raise AssertionError("non-membership witness failed to verify")
         return cert
     return MembershipCertificate(UNKNOWN, bound)
 
@@ -194,10 +201,8 @@ def _scan_points(dom: Domain, nvars: int) -> Iterable[tuple]:
     if dom == QQ:
         span = range(-RATIONAL_GRID_SPAN, RATIONAL_GRID_SPAN + 1)
         return itertools.product([Fraction(v) for v in span], repeat=nvars)
-    p = dom.modulus
-    if p ** nvars > POINT_SCAN_LIMIT:
-        raise TooLarge(f"point scan over {p}^{nvars} exceeds the desk-scale limit")
-    return itertools.product(range(p), repeat=nvars)
+    check_scan_size(dom.modulus, nvars)
+    return itertools.product(range(dom.modulus), repeat=nvars)
 
 
 EQUAL_WITHIN_BOUND = "equal_within_bound"
@@ -311,7 +316,8 @@ def radical_univariate(f: Polynomial) -> Polynomial:
         return Polynomial.one(f.ring)  # nonzero constant: (f) is the whole ring
     g = gcd_univariate(f, df)
     quo, rem = divmod_univariate(f, g)
-    assert rem.is_zero
+    if not rem.is_zero:
+        raise AssertionError("gcd(f, f') must divide f")
     return monic(quo)
 
 

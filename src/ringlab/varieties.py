@@ -14,12 +14,10 @@ import itertools
 from dataclasses import dataclass
 
 from .domains import Domain, Fp, is_prime
-from .errors import InvalidDomain, TooLarge, UnsupportedDomain
-from .linalg import nullspace_mod_p
-from .polyideals import IdealPresentation, MEMBER, membership_bounded
+from .errors import InvalidDomain, RingMismatch, UnsupportedDomain
+from .linalg import nullspace_mod_p, solve_mod_p
+from .polyideals import IdealPresentation, MEMBER, MembershipCertificate, check_scan_size
 from .polynomials import Polynomial, PolyRing
-
-SCAN_LIMIT = 1_000_000
 
 _DEFAULT_NAMES = ("x", "y", "z")
 
@@ -91,11 +89,6 @@ def _require_prime_field_ring(ring: PolyRing) -> int:
     return dom.modulus
 
 
-def _check_scan_size(p: int, n: int):
-    if p ** n > SCAN_LIMIT:
-        raise TooLarge(f"{p}^{n} points exceed the desk-scale scan limit")
-
-
 def variety(ideal: IdealPresentation) -> PointSet:
     """Exact common zero set of the generators, by exhaustive scan.
 
@@ -104,7 +97,7 @@ def variety(ideal: IdealPresentation) -> PointSet:
     ring = ideal.ring
     p = _require_prime_field_ring(ring)
     n = ring.nvars
-    _check_scan_size(p, n)
+    check_scan_size(p, n)
     dom = ring.domain
     hits = []
     for raw in itertools.product(range(p), repeat=n):
@@ -134,15 +127,30 @@ class VanishingIdealResult:
     def ideal(self) -> IdealPresentation:
         return IdealPresentation(self.ring, self.all_generators())
 
-    def spans_function(self, f: Polynomial) -> bool:
-        """Does f, as a function on F_p^n, lie in the span of the result?
+    def certify(self, f: Polynomial) -> MembershipCertificate | None:
+        """Cofactors of f over all_generators(), or None if f is not in I(X).
 
-        Functions are compared by their full value tables, so this settles
-        membership of f in I(X) modulo the field equations.
+        Reducing f by x_i^p -> x_i gives the field-equation cofactors q_i; one
+        solve over the p^n reduced monomials writes the remainder as sum c_j g_j
+        and fails exactly when f does not vanish on X, since evaluation is a
+        bijection from reduced polynomials onto functions F_p^n -> F_p.
         """
-        table = _function_table(f)
-        span = _span_tables(self.generators, self.ring)
-        return tuple(table) in span
+        if f.ring != self.ring:
+            raise RingMismatch(f"{f.ring} vs {self.ring}")
+        p = self.point_set.p
+        *quotients, r = _reduce_by_field_equations(f, p)
+        monos = reduced_monomials(p, self.ring.nvars)
+        rows = [[g.terms.get(m, 0) for g in self.generators] for m in monos]
+        sol = solve_mod_p(rows, [r.terms.get(m, 0) for m in monos], p)
+        if sol is None:
+            return None
+        cofactors = tuple(Polynomial.constant(self.ring, c) for c in sol) + tuple(quotients)
+        bound = max((int(h.total_degree()) for h in cofactors if not h.is_zero), default=0)
+        return MembershipCertificate(MEMBER, bound, cofactors=cofactors)
+
+    def spans_function(self, f: Polynomial) -> bool:
+        """Is f in I(X)?  Exactly when certify()'s solve on f's reduced form succeeds."""
+        return self.certify(f) is not None
 
 
 def reduced_monomials(p: int, n: int) -> list[tuple[int, ...]]:
@@ -153,11 +161,8 @@ def reduced_monomials(p: int, n: int) -> list[tuple[int, ...]]:
 def field_equations(ring: PolyRing) -> tuple[Polynomial, ...]:
     """x_i^p - x_i for each variable; they vanish on every point of F_p^n."""
     p = _require_prime_field_ring(ring)
-    eqs = []
-    for name in ring.variables:
-        x = Polynomial.variable(ring, name)
-        eqs.append(x ** p - x)
-    return tuple(eqs)
+    xs = (Polynomial.variable(ring, name) for name in ring.variables)
+    return tuple(x ** p - x for x in xs)
 
 
 def vanishing_ideal(points: PointSet, variables: tuple[str, ...] | None = None) -> VanishingIdealResult:
@@ -168,7 +173,7 @@ def vanishing_ideal(points: PointSet, variables: tuple[str, ...] | None = None) 
     polynomial).
     """
     p, n = points.p, points.dim
-    _check_scan_size(p, n)
+    check_scan_size(p, n)
     names = tuple(variables) if variables else default_variables(n)
     ring = PolyRing(Fp(p), names)
 
@@ -189,32 +194,27 @@ def vanishing_ideal(points: PointSet, variables: tuple[str, ...] | None = None) 
         Polynomial(ring, {monos[j]: c for j, c in enumerate(vec) if c})
         for vec in basis
     )
-    assert len(gens) == p ** n - len(points)
+    if len(gens) != p ** n - len(points):
+        raise AssertionError("nullspace dimension must be p^n - |X|")
 
     result = VanishingIdealResult(ring, points, gens, field_equations(ring))
-    recovered = variety(result.ideal())
-    assert recovered.points == points.points, "V(I(X)) must recover X"
+    if variety(result.ideal()).points != points.points:
+        raise AssertionError("V(I(X)) must recover X")
     return result
 
 
-def viv_closure(ideal: IdealPresentation, check: bool = True) -> VanishingIdealResult:
+def viv_closure(ideal: IdealPresentation) -> VanishingIdealResult:
     """I(V(S)) for a generator set S, with each member of S re-certified.
 
-    Every generator of S vanishes on V(S), so each must be a bounded
-    member of the computed vanishing ideal; the bound deg * (p-1) * n is
-    generous enough to absorb reduction by the field equations.
+    Each generator of S vanishes on V(S), so certify() constructs its
+    cofactors; every certificate is then re-checked exactly.
     """
-    ring = ideal.ring
-    p = _require_prime_field_ring(ring)
     points = variety(ideal)
-    result = vanishing_ideal(points, ring.variables)
-    if check:
-        target = result.ideal()
-        for g in ideal.generators:
-            bound = max(1, int(g.total_degree()) * (p - 1) * ring.nvars)
-            cert = membership_bounded(g, target, bound)
-            if cert.verdict != MEMBER:
-                raise AssertionError(f"{g} failed to re-certify inside I(V(S))")
+    result = vanishing_ideal(points, ideal.ring.variables)
+    for g in ideal.generators:
+        cert = result.certify(g)
+        if cert is None or not cert.verify(g, result.ideal()):
+            raise AssertionError(f"{g} failed to re-certify inside I(V(S))")
     return result
 
 
@@ -271,33 +271,25 @@ def is_prime_vanishing_ideal(points: PointSet,
     g = Polynomial.one(ring) - f
     product = f * g
     pts = [tuple(ring.domain.element(c) for c in pt) for pt in points]
-    assert all(product.evaluate(pt).is_zero for pt in pts)
-    assert any(not f.evaluate(pt).is_zero for pt in pts)
-    assert any(not g.evaluate(pt).is_zero for pt in pts)
+    if not (all(product.evaluate(pt).is_zero for pt in pts)
+            and any(not f.evaluate(pt).is_zero for pt in pts)
+            and any(not g.evaluate(pt).is_zero for pt in pts)):
+        raise AssertionError("indicator witness pair failed to verify")
     return PrimenessReport(False, (f, g))
 
 
-def _function_table(f: Polynomial) -> list[int]:
-    p = _require_prime_field_ring(f.ring)
-    dom = f.ring.domain
-    values = []
-    for raw in itertools.product(range(p), repeat=f.ring.nvars):
-        point = tuple(dom.element(c) for c in raw)
-        values.append(f.evaluate(point).value)
-    return values
+def _reduce_by_field_equations(f: Polynomial, p: int) -> tuple[Polynomial, ...]:
+    """(q_1, ..., q_n, r) with f = sum q_i (x_i^p - x_i) + r and r reduced.
 
-
-def _span_tables(gens: tuple[Polynomial, ...], ring: PolyRing) -> set[tuple[int, ...]]:
-    """All F_p-linear combinations of the generators' value tables."""
-    p = _require_prime_field_ring(ring)
-    tables = [_function_table(g) for g in gens]
-    width = p ** ring.nvars
-    span = {(0,) * width}
-    for t in tables:
-        new = set()
-        for coeff in range(1, p):
-            scaled = tuple((coeff * v) % p for v in t)
-            for existing in span:
-                new.add(tuple((a + b) % p for a, b in zip(existing, scaled)))
-        span |= new
-    return span
+    Each step uses x_i^e = x_i^(e-p) (x_i^p - x_i) + x_i^(e-p+1) for e >= p.
+    """
+    parts: list[dict] = [{} for _ in range(f.ring.nvars + 1)]
+    for exps, c in f.terms.items():
+        e = list(exps)
+        for i in range(len(e)):
+            while e[i] >= p:
+                e[i] -= p
+                parts[i][tuple(e)] = parts[i].get(tuple(e), 0) + c
+                e[i] += 1
+        parts[-1][tuple(e)] = parts[-1].get(tuple(e), 0) + c
+    return tuple(Polynomial(f.ring, t) for t in parts)

@@ -155,16 +155,22 @@ def test_criterion_05_galois_connection_suite():
             ideals[X.points] = result
             assert variety(result.ideal()).points == X.points
 
-        # antitonicity on points: X <= Y implies span I(Y) <= span I(X)
-        from ringlab.varieties import _function_table, _span_tables
+        # span membership is I(X) membership: for every X, spans_function
+        # agrees with direct evaluation on every corpus polynomial
+        dom = RF2.domain
+        def vanishes_on(f, pts):
+            return all(f.evaluate(tuple(dom.element(c) for c in p)).is_zero
+                       for p in pts)
+        for X in subsets:
+            for f in polys:
+                assert ideals[X.points].spans_function(f) == vanishes_on(f, X)
 
-        spans = {X.points: _span_tables(ideals[X.points].generators, RF2)
-                 for X in subsets}
+        # antitonicity on points: X <= Y implies span I(Y) <= span I(X)
         for X in subsets:
             for Y in subsets:
                 if set(X.points) <= set(Y.points):
                     for g in ideals[Y.points].generators:
-                        assert tuple(_function_table(g)) in spans[X.points]
+                        assert ideals[X.points].spans_function(g)
 
         # singleton varieties, computed once by the real scan
         v_single = [_variety_of([f]) for f in polys]
@@ -182,10 +188,6 @@ def test_criterion_05_galois_connection_suite():
                 assert _variety_of([f * g]) == v_single[i] | v_single[j]
 
         # S <= I(V(S)) as functions: every generator vanishes on V(S)
-        dom = RF2.domain
-        def vanishes_on(f, pts):
-            return all(f.evaluate(tuple(dom.element(c) for c in p)).is_zero
-                       for p in pts)
         for i, f in enumerate(polys):
             assert vanishes_on(f, v_single[i])
         rng = random.Random(17)

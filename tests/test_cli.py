@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,23 @@ def test_exit_code_three_for_resource_limits():
     assert code == 3 and out == ""
     code, out, err = invoke("variety", "--field", "fp:101", "--vars", "x,y,z", "x")
     assert code == 3
+    # one scan limit guards variety, videal and the non-membership scan
+    code, out, err = invoke("videal", "--field", "fp:1009", "0,0")
+    assert code == 3 and out == ""
+    code, out, err = invoke("member", "--field", "fp:32003", "--vars", "x,y,z",
+                            "--bound", "1", "1", "x*y - z", "y + z")
+    assert code == 3 and out == ""
+
+
+def test_viv_certifies_curves_without_a_cofactor_search():
+    t0 = time.perf_counter()
+    code, out, err = invoke("viv", "--vars", "x,y", "--field", "fp:11", "y^2-x^3-x-1")
+    assert code == 0, err
+    assert time.perf_counter() - t0 < 1.0
+    assert out.startswith("points:\n0,1\n0,10\n")
+    code, out, err = invoke("viv", "--vars", "x,y", "--field", "fp:7", "x^2+y^2-1")
+    assert code == 0, err
+    assert out.splitlines()[1:9] == ["0,1", "0,6", "1,0", "2,2", "2,5", "5,2", "5,5", "6,0"]
 
 
 def test_help_exits_zero():
