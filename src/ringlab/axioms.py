@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .domains import Domain, RingElement
-from .errors import InvalidDomain
+from .errors import AlgebraError, InvalidDomain
 
 Triple = tuple[RingElement, RingElement, RingElement]
 
@@ -91,7 +91,7 @@ def _has_inverse(x: RingElement) -> bool:
     try:
         x.inv()
         return True
-    except Exception:
+    except AlgebraError:
         return False
 
 

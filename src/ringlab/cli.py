@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Sequence, TextIO
 
-from .domains import Fp, QQ, Zn, ZZ, Domain
+from .domains import Fp, QQ, Zn, ZZ, Domain, smallest_factor
 from .errors import (
     AlgebraError,
     ParseError,
@@ -196,9 +196,9 @@ def _cmd_parse(flags, args) -> str:
     return format_polynomial(f) + "\n"
 
 
-def _parse_ideal(flags, texts: Sequence[str], fallback=None) -> IdealPresentation:
+def _parse_ideal(flags, texts: Sequence[str]) -> IdealPresentation:
     domain = parse_field(flags.get("field", "q"))
-    ring = _make_ring(domain, flags.get("vars"), texts, fallback)
+    ring = _make_ring(domain, flags.get("vars"), texts)
     gens = tuple(parse_polynomial(t, ring) for t in texts)
     return IdealPresentation(ring, gens)
 
@@ -447,7 +447,7 @@ def _cmd_zideal(flags, args) -> str:
         prime = ideal.is_prime()
         factor = None
         if not prime and g > 1:
-            a = next(d for d in range(2, g + 1) if g % d == 0)
+            a = smallest_factor(g)
             factor = (a, g // a)
         if as_json:
             return _emit_json({

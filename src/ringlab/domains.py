@@ -30,20 +30,21 @@ KIND_ZN = "Zn"
 KIND_FP = "Fp"
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for desk-scale moduli."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+def smallest_factor(n: int) -> int:
+    """Least divisor d >= 2 of n >= 2, by trial division; n itself when prime."""
     if n % 2 == 0:
-        return False
+        return 2
     d = 3
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 2
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    """Trial-division primality test, adequate for desk-scale moduli."""
+    return n >= 2 and smallest_factor(n) == n
 
 
 @dataclass(frozen=True)
@@ -78,15 +79,6 @@ class Domain:
     def is_finite(self) -> bool:
         return self.kind in (KIND_ZN, KIND_FP)
 
-    @property
-    def is_modular(self) -> bool:
-        return self.kind in (KIND_ZN, KIND_FP)
-
-    @property
-    def is_trivial(self) -> bool:
-        """True for Z/1, the one-element ring where 1 = 0."""
-        return self.is_modular and self.modulus == 1
-
     # -- raw value arithmetic ----------------------------------------------
 
     def canon(self, v) -> Value:
@@ -98,7 +90,7 @@ class Domain:
                 raise DomainMismatch(f"{v} is not an element of {self}")
             v = v.numerator
         v = int(v)
-        if self.is_modular:
+        if self.is_finite:
             return v % self.modulus
         return v
 
@@ -154,7 +146,7 @@ class Domain:
     def pow(self, a: Value, e: int) -> Value:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        if self.is_modular:
+        if self.is_finite:
             return pow(a, e, self.modulus)
         return a ** e
 
@@ -267,7 +259,7 @@ def units_of(domain: Domain) -> set[RingElement]:
     In Z/1 the single element 0 (= 1) is a unit.  For n >= 2 the units are
     exactly the residues coprime to n, which this search rediscovers.
     """
-    if not domain.is_modular:
+    if not domain.is_finite:
         raise InvalidDomain("units_of expects Z/n or F_p")
     n = domain.modulus
     found = set()

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .domains import Domain, QQ, RingElement
 from .errors import (
@@ -110,18 +110,27 @@ def membership_bounded(f: Polynomial, ideal: IdealPresentation, bound: int) -> M
     """
     if f.ring != ideal.ring:
         raise RingMismatch(f"{f.ring} vs {ideal.ring}")
-    dom = f.ring.domain
-    if not dom.is_field:
-        raise UnsupportedDomain(f"membership needs field coefficients, not {dom}")
+    ring, gens = f.ring, ideal.generators
+    if not ring.domain.is_field:
+        raise UnsupportedDomain(f"membership needs field coefficients, not {ring.domain}")
 
-    cofactors = _solve_combination(f, ideal.generators, bound)
-    if cofactors is not None:
+    shifts = monomials_up_to(ring.nvars, bound)
+    columns = [  # column (i, m) is m * g_i; its solved coefficient is h_i's on m
+        Polynomial(ring, {tuple(a + b for a, b in zip(exps, shift)): c
+                          for exps, c in g.terms.items()})
+        for g in gens for shift in shifts
+    ]
+    sol = solve_in_span(f, columns)
+    if sol is not None:
+        k = len(shifts)
+        cofactors = tuple(Polynomial(ring, dict(zip(shifts, sol[i * k:(i + 1) * k])))
+                          for i in range(len(gens)))
         cert = MembershipCertificate(MEMBER, bound, cofactors=cofactors)
         if not cert.verify(f, ideal):
             raise AssertionError("solved cofactors failed to verify")
         return cert
 
-    witness = _non_membership_witness(f, ideal)
+    witness = next((pt for pt in common_zeros(ideal) if not f.evaluate(pt).is_zero), None)
     if witness is not None:
         cert = MembershipCertificate(NON_MEMBER, bound, witness=witness)
         if not cert.verify(f, ideal):
@@ -130,71 +139,43 @@ def membership_bounded(f: Polynomial, ideal: IdealPresentation, bound: int) -> M
     return MembershipCertificate(UNKNOWN, bound)
 
 
-def _solve_combination(f: Polynomial, gens: Sequence[Polynomial],
-                       bound: int) -> tuple[Polynomial, ...] | None:
-    ring = f.ring
-    dom = ring.domain
-    if not gens:
-        return () if f.is_zero else None
-    if f.is_zero:
-        return tuple(Polynomial.zero(ring) for _ in gens)
+def solve_in_span(target: Polynomial, columns: Sequence[Polynomial]) -> list | None:
+    """Coefficients c with sum c_j columns[j] = target (free ones zero), or None.
 
-    shifts = monomials_up_to(ring.nvars, bound)
-    columns: list[dict[tuple[int, ...], object]] = []
-    col_ids: list[tuple[int, tuple[int, ...]]] = []
-    row_index: dict[tuple[int, ...], int] = {}
-
-    def row_of(exps: tuple[int, ...]) -> int:
-        if exps not in row_index:
-            row_index[exps] = len(row_index)
-        return row_index[exps]
-
-    for exps in f.terms:
-        row_of(exps)
-    for gi, g in enumerate(gens):
-        for shift in shifts:
-            col: dict[tuple[int, ...], object] = {}
-            for exps, c in g.terms.items():
-                target = tuple(a + b for a, b in zip(exps, shift))
-                col[target] = c
-                row_of(target)
-            columns.append(col)
-            col_ids.append((gi, shift))
-
-    nrows = len(row_index)
+    One exact solve over the coefficient field: Bareiss over Q, row
+    reduction over F_p.  Rows are the target's monomials, then each
+    column's in order of first appearance.
+    """
+    dom = target.ring.domain
     zero = dom.zero
-    matrix = [[zero] * len(columns) for _ in range(nrows)]
+    if target.is_zero:
+        return [zero] * len(columns)
+    row_of: dict[tuple[int, ...], int] = {}
+    for poly in (target, *columns):
+        for exps in poly.terms:
+            row_of.setdefault(exps, len(row_of))
+    matrix = [[zero] * len(columns) for _ in row_of]
     for j, col in enumerate(columns):
-        for exps, c in col.items():
-            matrix[row_index[exps]][j] = c
-    rhs = [zero] * nrows
-    for exps, c in f.terms.items():
-        rhs[row_index[exps]] = c
-
+        for exps, c in col.terms.items():
+            matrix[row_of[exps]][j] = c
+    rhs = [zero] * len(row_of)
+    for exps, c in target.terms.items():
+        rhs[row_of[exps]] = c
     if dom == QQ:
-        sol = solve_rational(matrix, rhs)
-    else:
-        sol = solve_mod_p(matrix, rhs, dom.modulus)
-    if sol is None:
-        return None
-
-    per_gen: list[dict[tuple[int, ...], object]] = [dict() for _ in gens]
-    for (gi, shift), c in zip(col_ids, sol):
-        if c:
-            per_gen[gi][shift] = c
-    return tuple(Polynomial(ring, terms) for terms in per_gen)
+        return solve_rational(matrix, rhs)
+    return solve_mod_p(matrix, rhs, dom.modulus)
 
 
-def _non_membership_witness(f: Polynomial,
-                            ideal: IdealPresentation) -> tuple[RingElement, ...] | None:
-    ring = f.ring
-    dom = ring.domain
-    for raw_point in _scan_points(dom, ring.nvars):
+def common_zeros(ideal: IdealPresentation) -> Iterator[tuple[RingElement, ...]]:
+    """The points of the scan where every generator vanishes, in scan order.
+
+    The scan is all of F_p^n (under the scan limit), or the integer grid over Q.
+    """
+    dom = ideal.ring.domain
+    for raw_point in _scan_points(dom, ideal.ring.nvars):
         point = tuple(dom.element(x) for x in raw_point)
         if all(g.evaluate(point).is_zero for g in ideal.generators):
-            if not f.evaluate(point).is_zero:
-                return point
-    return None
+            yield point
 
 
 def _scan_points(dom: Domain, nvars: int) -> Iterable[tuple]:

@@ -32,20 +32,6 @@ class RasterGrid:
     def marked(self) -> list[tuple[int, int]]:
         return [(r, c) for r in range(self.rows) for c in range(self.cols) if self.cells[r][c]]
 
-    def cell_containing(self, x, y) -> tuple[int, int]:
-        """(row, col) of the cell whose closed rectangle has (x, y) lowest-left.
-
-        Points on an interior grid line belong to the cell on their upper
-        right in column terms and lower row index in row terms; use
-        cells_containing for every incident cell.
-        """
-        xmin, xmax, ymin, ymax = self.window
-        dx = (xmax - xmin) / self.cols
-        dy = (ymax - ymin) / self.rows
-        c = int((Fraction(x) - xmin) / dx)
-        r = int((ymax - Fraction(y)) / dy)
-        return min(r, self.rows - 1), min(c, self.cols - 1)
-
     def cells_containing(self, x, y) -> list[tuple[int, int]]:
         """All cells whose closed rectangle contains the point."""
         xmin, xmax, ymin, ymax = self.window

@@ -15,8 +15,15 @@ from dataclasses import dataclass
 
 from .domains import Domain, Fp, is_prime
 from .errors import InvalidDomain, RingMismatch, UnsupportedDomain
-from .linalg import nullspace_mod_p, solve_mod_p
-from .polyideals import IdealPresentation, MEMBER, MembershipCertificate, check_scan_size
+from .linalg import nullspace_mod_p
+from .polyideals import (
+    IdealPresentation,
+    MEMBER,
+    MembershipCertificate,
+    check_scan_size,
+    common_zeros,
+    solve_in_span,
+)
 from .polynomials import Polynomial, PolyRing
 
 _DEFAULT_NAMES = ("x", "y", "z")
@@ -64,19 +71,6 @@ class PointSet:
     def is_subset_of(self, other: "PointSet") -> bool:
         return set(self.points) <= set(other.points)
 
-    def union(self, other: "PointSet") -> "PointSet":
-        self._check_compatible(other)
-        return PointSet(self.p, self.dim, self.points + other.points)
-
-    def intersection(self, other: "PointSet") -> "PointSet":
-        self._check_compatible(other)
-        common = set(self.points) & set(other.points)
-        return PointSet(self.p, self.dim, tuple(common))
-
-    def _check_compatible(self, other: "PointSet"):
-        if self.p != other.p or self.dim != other.dim:
-            raise InvalidDomain("point sets live in different spaces")
-
     def __str__(self) -> str:
         inner = ", ".join("(" + ", ".join(map(str, pt)) + ")" for pt in self.points)
         return "{" + inner + "}"
@@ -94,17 +88,9 @@ def variety(ideal: IdealPresentation) -> PointSet:
 
     The empty presentation (the zero ideal) cuts out all of F_p^n.
     """
-    ring = ideal.ring
-    p = _require_prime_field_ring(ring)
-    n = ring.nvars
-    check_scan_size(p, n)
-    dom = ring.domain
-    hits = []
-    for raw in itertools.product(range(p), repeat=n):
-        point = tuple(dom.element(c) for c in raw)
-        if all(g.evaluate(point).is_zero for g in ideal.generators):
-            hits.append(raw)
-    return PointSet(p, n, tuple(hits))
+    p = _require_prime_field_ring(ideal.ring)
+    hits = tuple(tuple(c.value for c in pt) for pt in common_zeros(ideal))
+    return PointSet(p, ideal.ring.nvars, hits)
 
 
 @dataclass(frozen=True)
@@ -131,17 +117,14 @@ class VanishingIdealResult:
         """Cofactors of f over all_generators(), or None if f is not in I(X).
 
         Reducing f by x_i^p -> x_i gives the field-equation cofactors q_i; one
-        solve over the p^n reduced monomials writes the remainder as sum c_j g_j
-        and fails exactly when f does not vanish on X, since evaluation is a
-        bijection from reduced polynomials onto functions F_p^n -> F_p.
+        span solve writes the remainder as sum c_j g_j and fails exactly when f
+        does not vanish on X, since evaluation is a bijection from reduced
+        polynomials onto functions F_p^n -> F_p.
         """
         if f.ring != self.ring:
             raise RingMismatch(f"{f.ring} vs {self.ring}")
-        p = self.point_set.p
-        *quotients, r = _reduce_by_field_equations(f, p)
-        monos = reduced_monomials(p, self.ring.nvars)
-        rows = [[g.terms.get(m, 0) for g in self.generators] for m in monos]
-        sol = solve_mod_p(rows, [r.terms.get(m, 0) for m in monos], p)
+        *quotients, r = _reduce_by_field_equations(f, self.point_set.p)
+        sol = solve_in_span(r, self.generators)
         if sol is None:
             return None
         cofactors = tuple(Polynomial.constant(self.ring, c) for c in sol) + tuple(quotients)

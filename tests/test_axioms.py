@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from ringlab.axioms import (
@@ -7,7 +8,7 @@ from ringlab.axioms import (
     check_ring_axioms,
     random_rational_triples,
 )
-from ringlab.domains import Fp, QQ, Zn, ZZ
+from ringlab.domains import Domain, Fp, QQ, Zn, ZZ
 
 
 def test_z6_exhaustive_axioms_pass():
@@ -44,6 +45,18 @@ def test_integers_flag_missing_inverses():
     report = check_ring_axioms(ZZ, samples)
     assert report.passed
     assert report.nonzero_invertible is False
+
+
+def test_inverse_check_lets_programming_errors_through(monkeypatch):
+    # only an AlgebraError means "no inverse"; a TypeError is a bug to surface
+    def broken_inv(self, a):
+        raise TypeError("broken inverse")
+
+    monkeypatch.setattr(Domain, "inv", broken_inv)
+    with pytest.raises(TypeError):
+        check_ring_axioms(Fp(5), [])
+    with pytest.raises(TypeError):
+        check_ring_axioms(QQ, [(QQ.element(2), QQ.element(3), QQ.element(5))])
 
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)

@@ -93,6 +93,22 @@ def test_member_and_ideal_eq():
     assert "right generator y is not in the left ideal" in out
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("--bound", "1", "x*y", "x", "y"), "member\n  cofactor 1: y\n  cofactor 2: 0\n"),
+    (("--bound", "1", "--field", "fp:5", "x*y", "x", "y"),
+     "member\n  cofactor 1: y\n  cofactor 2: 0\n"),
+    (("--bound", "2", "x^2*y+x*y^2", "x*y", "x+y", "x"),
+     "member\n  cofactor 1: x + y\n  cofactor 2: 0\n  cofactor 3: 0\n"),
+    (("--bound", "1", "--vars", "x,y", "x", "x*y"), "non-member\n  witness: (-5, 0)\n"),
+    (("--bound", "1", "--vars", "x,y", "--field", "fp:5", "x", "x*y"),
+     "non-member\n  witness: (1, 0)\n"),
+])
+def test_member_prints_the_first_certificate_of_several(argv, expected):
+    # cofactors: free solve variables are zero; witness: first common zero in scan order
+    code, out, err = invoke("member", *argv)
+    assert (code, out) == (0, expected), err
+
+
 def test_member_requires_bound():
     code, out, err = invoke("member", "x^2-1", "x-1")
     assert code == 1 and out == "" and "--bound" in err

@@ -13,6 +13,7 @@ from ringlab.domains import (
     ZZ,
     hom_check,
     is_prime,
+    smallest_factor,
     units_of,
 )
 from ringlab.errors import (
@@ -105,6 +106,12 @@ def test_prime_field_rejects_composite():
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
     assert {n for n in range(31) if is_prime(n)} == primes
+
+
+def test_smallest_factor_is_least_divisor():
+    for n in range(2, 500):
+        assert smallest_factor(n) == next(d for d in range(2, n + 1) if n % d == 0)
+    assert smallest_factor(2305843009213693951 * 3) == 3
 
 
 def test_quotient_by_three():

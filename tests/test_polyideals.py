@@ -25,6 +25,7 @@ from ringlab.polyideals import (
     ideal_equal_bounded,
     membership_bounded,
     radical_univariate,
+    solve_in_span,
     strict_chain_demo,
 )
 from ringlab.polynomials import Polynomial, PolyRing
@@ -33,6 +34,9 @@ RQ1 = PolyRing(QQ, ("x",))
 RF5 = PolyRing(Fp(5), ("x",))
 RF3_2 = PolyRing(Fp(3), ("x", "y"))
 RF2_2 = PolyRing(Fp(2), ("x", "y"))
+RQ2 = PolyRing(QQ, ("x", "y"))
+RF5_2 = PolyRing(Fp(5), ("x", "y"))
+SPAN_RINGS = pytest.mark.parametrize("ring", [RQ2, RF5_2], ids=["q", "fp5"])
 
 
 def q1(t):
@@ -283,3 +287,44 @@ def test_hbt_extracted_divides_every_generator():
         for g in gens:
             _, rem = divmod_univariate(g, res.extracted)
             assert rem.is_zero
+
+
+# -- the shared span solve ---------------------------------------------------
+
+
+def _combination(coeffs, columns, ring):
+    total = Polynomial.zero(ring)
+    for c, col in zip(coeffs, columns):
+        total = total + Polynomial.constant(ring, c) * col
+    return total
+
+
+@SPAN_RINGS
+def test_solve_in_span_reconstructs_a_target_in_the_span(ring):
+    cols = [parse_polynomial(t, ring) for t in ("x + y", "x*y - 1", "y^2")]
+    target = parse_polynomial("2*x + 2*y - 3*x*y + 3 + y^2", ring)
+    sol = solve_in_span(target, cols)
+    assert sol is not None and len(sol) == 3
+    assert _combination(sol, cols, ring) == target
+    assert [ring.domain.canon(c) for c in sol] == [ring.domain.canon(c) for c in (2, -3, 1)]
+
+
+@SPAN_RINGS
+def test_solve_in_span_rejects_a_target_outside_the_span(ring):
+    cols = [parse_polynomial(t, ring) for t in ("x + y", "x*y")]
+    assert solve_in_span(parse_polynomial("x", ring), cols) is None
+    assert solve_in_span(parse_polynomial("x + y + 1", ring), cols) is None
+
+
+@SPAN_RINGS
+def test_solve_in_span_gives_a_duplicated_column_coefficient_zero(ring):
+    x, y = (parse_polynomial(v, ring) for v in ("x", "y"))
+    sol = solve_in_span(parse_polynomial("3*x + y", ring), [x, x, y])
+    assert [ring.domain.canon(c) for c in sol] == [ring.domain.canon(c) for c in (3, 0, 1)]
+
+
+@SPAN_RINGS
+def test_solve_in_span_with_no_columns(ring):
+    assert solve_in_span(Polynomial.zero(ring), []) == []
+    assert solve_in_span(parse_polynomial("x", ring), []) is None
+    assert solve_in_span(parse_polynomial("1", ring), []) is None

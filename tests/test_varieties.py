@@ -7,7 +7,7 @@ import pytest
 from ringlab.domains import Fp, QQ
 from ringlab.errors import InvalidDomain, TooLarge, UnsupportedDomain
 from ringlab.parsing import parse_polynomial
-from ringlab.polyideals import IdealPresentation, MEMBER, membership_bounded
+from ringlab.polyideals import IdealPresentation, MEMBER, common_zeros, membership_bounded
 from ringlab.polynomials import Polynomial, PolyRing
 from ringlab.varieties import (
     PointSet,
@@ -296,6 +296,28 @@ def test_product_and_pair_laws_sampled():
         vpair = set(variety(IdealPresentation(RF2, (f, g))))
         assert vfg == vf | vg
         assert vpair == vf & vg
+
+
+def test_common_zeros_is_brute_force_evaluation_in_scan_order():
+    # plain integer evaluation, independent of Polynomial.evaluate
+    def zero_at(f, pt):
+        return sum(c * pt[0] ** a * pt[1] ** b for (a, b), c in f.terms.items()) % 2 == 0
+
+    space = list(itertools.product(range(2), repeat=2))
+    polys = _f2_polys()
+    for i, f in enumerate(polys):
+        for g in polys[i:]:
+            ideal = IdealPresentation(RF2, (f, g))
+            expected = [pt for pt in space if zero_at(f, pt) and zero_at(g, pt)]
+            got = [tuple(c.value for c in pt) for pt in common_zeros(ideal)]
+            assert got == expected
+
+
+def test_common_zeros_over_q_scan_the_integer_grid_in_order():
+    ring = PolyRing(QQ, ("x", "y"))
+    ideal = IdealPresentation(ring, (pf("x^2 - 4", ring), pf("y^2 - y", ring)))
+    got = [tuple(c.value for c in pt) for pt in common_zeros(ideal)]
+    assert got == [(-2, 0), (-2, 1), (2, 0), (2, 1)]
 
 
 def test_antitonicity_on_points_f2():
