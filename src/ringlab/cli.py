@@ -310,11 +310,9 @@ def _cmd_member(flags, args) -> str:
     if not args:
         raise UsageError("member expects: f followed by zero or more generators")
     bound = _get_bound(flags)
-    ideal_all = _parse_ideal(flags, args)
-    ring = ideal_all.ring
-    f = parse_polynomial(args[0], ring)
-    gens = tuple(parse_polynomial(t, ring) for t in args[1:])
-    cert = membership_bounded(f, IdealPresentation(ring, gens), bound)
+    ring = _make_ring(parse_field(flags.get("field", "q")), flags.get("vars"), args)
+    f, *gens = (parse_polynomial(t, ring) for t in args)
+    cert = membership_bounded(f, IdealPresentation(ring, tuple(gens)), bound)
     if flags.get("format") == "json":
         return _emit_json({
             "verdict": cert.verdict,

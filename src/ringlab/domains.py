@@ -20,6 +20,7 @@ from .errors import (
     DomainMismatch,
     InvalidDomain,
     NoInverse,
+    TooLarge,
 )
 
 Value = Union[int, Fraction]
@@ -42,9 +43,39 @@ def smallest_factor(n: int) -> int:
     return n
 
 
+# Sorenson & Webster (2015): the primes up to 41 as strong-pseudoprime bases
+# decide primality for every n below MR_BOUND
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for desk-scale moduli."""
-    return n >= 2 and smallest_factor(n) == n
+    """Deterministic Miller-Rabin primality test, proven for n < MR_BOUND.
+
+    Above the bound a composite verdict is still a proof, but a probable
+    prime raises TooLarge instead of being reported as prime.
+    """
+    if n < 2:
+        return False
+    for b in MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= MR_BOUND:
+        raise TooLarge(f"{n} is a probable prime; primality is proven only below {MR_BOUND}")
+    return True
 
 
 @dataclass(frozen=True)
@@ -66,8 +97,6 @@ class Domain:
                 raise InvalidDomain(f"F_p requires a prime modulus, got {self.modulus}")
         else:
             raise InvalidDomain(f"unknown domain kind {self.kind!r}")
-        # cached for the arithmetic hot path (None for Z and Q)
-        object.__setattr__(self, "_mod", self.modulus if self.kind in (KIND_ZN, KIND_FP) else None)
 
     # -- structure ---------------------------------------------------------
 
@@ -89,10 +118,7 @@ class Domain:
             if v.denominator != 1:
                 raise DomainMismatch(f"{v} is not an element of {self}")
             v = v.numerator
-        v = int(v)
-        if self.is_finite:
-            return v % self.modulus
-        return v
+        return int(v) % self.modulus if self.modulus else int(v)
 
     @property
     def zero(self) -> Value:
@@ -103,20 +129,16 @@ class Domain:
         return self.canon(1)
 
     def add(self, a: Value, b: Value) -> Value:
-        m = self._mod
-        return (a + b) % m if m else a + b
+        return (a + b) % self.modulus if self.modulus else a + b
 
     def sub(self, a: Value, b: Value) -> Value:
-        m = self._mod
-        return (a - b) % m if m else a - b
+        return (a - b) % self.modulus if self.modulus else a - b
 
     def mul(self, a: Value, b: Value) -> Value:
-        m = self._mod
-        return (a * b) % m if m else a * b
+        return (a * b) % self.modulus if self.modulus else a * b
 
     def neg(self, a: Value) -> Value:
-        m = self._mod
-        return (-a) % m if m else -a
+        return (-a) % self.modulus if self.modulus else -a
 
     def inv(self, a: Value) -> Value:
         """Multiplicative inverse of a canonical value.
@@ -146,9 +168,7 @@ class Domain:
     def pow(self, a: Value, e: int) -> Value:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        if self.is_finite:
-            return pow(a, e, self.modulus)
-        return a ** e
+        return pow(a, e, self.modulus) if self.modulus else a ** e
 
     # -- enumeration --------------------------------------------------------
 
@@ -161,7 +181,7 @@ class Domain:
         return (RingElement(self, v) for v in self.raw_elements())
 
     def element(self, v) -> "RingElement":
-        return RingElement(self, self.canon(v))
+        return RingElement(self, v)
 
     def __str__(self) -> str:
         return {
@@ -244,10 +264,6 @@ class RingElement:
     @property
     def is_zero(self) -> bool:
         return self.value == self.domain.zero
-
-    @property
-    def is_one(self) -> bool:
-        return self.value == self.domain.one
 
     def __str__(self) -> str:
         return str(self.value)

@@ -58,12 +58,6 @@ class IdealPresentation:
                 gens.append(g)
         object.__setattr__(self, "generators", tuple(gens))
 
-    @classmethod
-    def of(cls, *gens: Polynomial) -> "IdealPresentation":
-        if not gens:
-            raise ValueError("need at least one polynomial to infer the ring")
-        return cls(gens[0].ring, tuple(gens))
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
@@ -172,10 +166,9 @@ def common_zeros(ideal: IdealPresentation) -> Iterator[tuple[RingElement, ...]]:
     The scan is all of F_p^n (under the scan limit), or the integer grid over Q.
     """
     dom = ideal.ring.domain
-    for raw_point in _scan_points(dom, ideal.ring.nvars):
-        point = tuple(dom.element(x) for x in raw_point)
+    for point in _scan_points(dom, ideal.ring.nvars):
         if all(g.evaluate(point).is_zero for g in ideal.generators):
-            yield point
+            yield tuple(dom.element(x) for x in point)
 
 
 def _scan_points(dom: Domain, nvars: int) -> Iterable[tuple]:

@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials over the exact coefficient domains.
 
 Terms live in a dict from exponent tuples to nonzero raw coefficients;
-the zero polynomial has no terms.  All operations re-canonicalize, so a
-stored zero coefficient can never be observed.  Monomials are compared in
+the zero polynomial has no terms.  Coefficients are canonicalized once,
+on construction, and every operation keeps them canonical, so a stored
+zero coefficient can never be observed.  Monomials are compared in
 lexicographic order of the declared variables by default; graded-lex is
 available for display.
 """
@@ -131,9 +132,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def monomials(self) -> list[tuple[int, ...]]:
-        return sorted(self.terms, key=DEFAULT_ORDER.key, reverse=True)
 
     def coefficient(self, exps: Sequence[int]) -> RingElement:
         return self.ring.domain.element(self.terms.get(tuple(exps), 0))
@@ -288,17 +286,12 @@ class Polynomial:
             dom = QQ
         coords = [dom.canon(x) for x in coords]
 
-        # cache coordinate powers; sparse supports make this cheap
-        pows: list[dict[int, Value]] = [{0: dom.one} for _ in coords]
+        # stored coefficients are canonical by the class invariant; only coordinates need canon
         total = dom.zero
-        for exps, c in self.terms.items():
-            term = dom.canon(c)
-            for i, e in enumerate(exps):
+        for exps, term in self.terms.items():
+            for x, e in zip(coords, exps):
                 if e:
-                    cache = pows[i]
-                    if e not in cache:
-                        cache[e] = dom.pow(coords[i], e)
-                    term = dom.mul(term, cache[e])
+                    term = dom.mul(term, dom.pow(x, e))
             total = dom.add(total, term)
         return RingElement(dom, total)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .domains import Domain, Fp, is_prime
+from .domains import Fp, is_prime
 from .errors import InvalidDomain, RingMismatch, UnsupportedDomain
 from .linalg import nullspace_mod_p
 from .polyideals import (
@@ -54,10 +54,6 @@ class PointSet:
                 raise InvalidDomain(f"point {pt} has wrong dimension")
             cleaned.add(tuple(c % self.p for c in pt))
         object.__setattr__(self, "points", tuple(sorted(cleaned)))
-
-    @property
-    def field(self) -> Domain:
-        return Fp(self.p)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -138,7 +134,7 @@ class VanishingIdealResult:
 
 def reduced_monomials(p: int, n: int) -> list[tuple[int, ...]]:
     """All exponent tuples with every entry below p, in lex order."""
-    return sorted(itertools.product(range(p), repeat=n))
+    return list(itertools.product(range(p), repeat=n))
 
 
 def field_equations(ring: PolyRing) -> tuple[Polynomial, ...]:
@@ -253,10 +249,9 @@ def is_prime_vanishing_ideal(points: PointSet,
     f = indicator_polynomial(ring, anchor)
     g = Polynomial.one(ring) - f
     product = f * g
-    pts = [tuple(ring.domain.element(c) for c in pt) for pt in points]
-    if not (all(product.evaluate(pt).is_zero for pt in pts)
-            and any(not f.evaluate(pt).is_zero for pt in pts)
-            and any(not g.evaluate(pt).is_zero for pt in pts)):
+    if not (all(product.evaluate(pt).is_zero for pt in points)
+            and any(not f.evaluate(pt).is_zero for pt in points)
+            and any(not g.evaluate(pt).is_zero for pt in points)):
         raise AssertionError("indicator witness pair failed to verify")
     return PrimenessReport(False, (f, g))
 

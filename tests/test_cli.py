@@ -63,6 +63,20 @@ def test_zideal_prime_documented_text():
     assert out.startswith("not prime: (1)")
 
 
+@pytest.mark.parametrize("argv, code, expected", [
+    (("zideal", "prime", "2305843009213693951"), 0, "prime: (2305843009213693951)\n"),
+    (("parse", "--field", "fp:2305843009213693951", "x"), 0, "x\n"),
+    (("zideal", "prime", "3317044064679887385961981"), 3, ""),
+    (("zideal", "prime", "1000036000099"), 0,
+     "not prime: 1000036000099 = 1000003*1000033 with 1000003,1000033 not in (1000036000099)\n"),
+])
+def test_primality_of_large_moduli_answers_within_a_second(argv, code, expected):
+    t0 = time.perf_counter()
+    got_code, out, err = invoke(*argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (got_code, out) == (code, expected), err
+
+
 def test_zideal_gens_and_contains():
     code, out, _ = invoke("zideal", "gens", "6", "10")
     assert code == 0 and out == "(2)\n"

@@ -21,6 +21,7 @@ from ringlab.errors import (
     DomainMismatch,
     InvalidDomain,
     NoInverse,
+    TooLarge,
 )
 from ringlab.intideals import IntIdeal, quotient_ring
 
@@ -112,6 +113,28 @@ def test_smallest_factor_is_least_divisor():
     for n in range(2, 500):
         assert smallest_factor(n) == next(d for d in range(2, n + 1) if n % d == 0)
     assert smallest_factor(2305843009213693951 * 3) == 3
+
+
+def test_is_prime_agrees_with_trial_division_below_ten_to_the_five():
+    assert not any(is_prime(n) for n in range(-3, 2))
+    for n in range(2, 10 ** 5):
+        assert is_prime(n) == (smallest_factor(n) == n), n
+
+
+def test_is_prime_rejects_strong_pseudoprimes_to_the_small_bases():
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2305843009213693951)  # 2^61 - 1
+    assert not is_prime(2305843009213693951 * 1000003)
+
+
+def test_is_prime_refuses_a_probable_prime_past_the_proven_bound():
+    with pytest.raises(TooLarge):
+        is_prime(3317044064679887385961981)
+    # past the bound a composite verdict is still a proof
+    assert not is_prime(3317044064679887385961981 * 2 + 2)
+    assert not is_prime(2305843009213693951 ** 2)
 
 
 def test_quotient_by_three():

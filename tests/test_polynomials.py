@@ -1,11 +1,13 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringlab.domains import Fp, QQ, ZZ
-from ringlab.errors import NotUnivariate, RingMismatch, ZeroPolynomial
+from ringlab.domains import Fp, QQ, RingElement, Zn, ZZ
+from ringlab.errors import DomainMismatch, NotUnivariate, RingMismatch, ZeroPolynomial
 from ringlab.parsing import parse_polynomial
 from ringlab.polynomials import (
     MonomialOrder,
@@ -306,3 +308,66 @@ def test_evaluation_is_ring_homomorphism_exhaustive_f2():
             prod_table = tuple((a * b) % 2 for a, b in zip(tables[i], tables[j]))
             assert tuple((f + g).evaluate(pt).value for pt in points) == sum_table
             assert tuple((f * g).evaluate(pt).value for pt in points) == prod_table
+
+
+def _random_terms(rng, nvars, rational):
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        exps = tuple(rng.randint(0, 4) for _ in range(nvars))
+        c = rng.randint(-30, 30)
+        terms[exps] = Fraction(c, rng.randint(1, 9)) if rational else c
+    return terms
+
+
+def _plain_value(terms, point, modulus):
+    # oracle: sum of c * prod x^e in Python arithmetic, reduced once at the end
+    total = sum(c * math.prod(x ** e for x, e in zip(point, exps)) for exps, c in terms.items())
+    return total % modulus if modulus else total
+
+
+@pytest.mark.parametrize("dom", [Fp(7), Zn(12), Zn(1), ZZ, QQ], ids=str)
+def test_evaluate_matches_plain_arithmetic_on_random_polynomials(dom):
+    rng = random.Random(f"evaluate {dom}")
+    for _ in range(200):
+        nvars = rng.randint(1, 3)
+        ring = PolyRing(dom, ("x", "y", "z")[:nvars])
+        terms = _random_terms(rng, nvars, dom == QQ)
+        f = Polynomial(ring, terms)
+        if dom == QQ:
+            raw = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(nvars))
+        else:  # negative and >= modulus coordinates included
+            raw = tuple(rng.randint(-40, 40) for _ in range(nvars))
+        expected = _plain_value(terms, raw, dom.modulus)
+        for point in (raw, tuple(dom.element(x) for x in raw)):
+            value = f.evaluate(point)
+            assert value.domain == dom
+            assert value.value == expected and type(value.value) is type(dom.zero)
+
+
+def test_evaluate_integer_polynomial_at_fractions_lands_in_q():
+    rng = random.Random("evaluate Z at Q")
+    ring = PolyRing(ZZ, ("x", "y"))
+    for _ in range(100):
+        terms = _random_terms(rng, 2, False)
+        point = (rng.randint(-9, 9) + Fraction(1, rng.randint(2, 5)), Fraction(rng.randint(-9, 9)))
+        for pt in (point, tuple(RingElement(QQ, x) for x in point)):
+            value = Polynomial(ring, terms).evaluate(pt)
+            assert value.domain == QQ and isinstance(value.value, Fraction)
+            assert value.value == _plain_value(terms, point, None)
+
+
+def test_evaluate_rejects_foreign_coordinates_and_wrong_arity():
+    ring = PolyRing(Fp(7), ("x", "y"))
+    f = Polynomial(ring, {(2, 0): 1, (0, 1): 3})
+    bad_points = [
+        (Fraction(1, 2), 0),           # non-integral rational over F_p
+        (Fp(5).element(1), 0),         # coordinate from another domain
+        (Zn(7).element(1), 0),         # same modulus, different ring
+        (1,),                          # too few coordinates
+        (1, 2, 3),                     # too many
+    ]
+    for point in bad_points:
+        with pytest.raises(DomainMismatch):
+            f.evaluate(point)
+    with pytest.raises(DomainMismatch):
+        Polynomial(PolyRing(QQ, ("x",)), {(1,): 1}).evaluate((ZZ.element(1),))

@@ -1,9 +1,12 @@
 import ast
 import importlib.util
+import io
 from pathlib import Path
 
+import pytest
+
 import ringlab
-from ringlab import polyideals
+from ringlab import cli, polyideals
 
 SRC = Path(ringlab.__file__).parent
 BENCH_SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -33,3 +36,46 @@ def test_benchmark_tracer_binds_every_function_it_wraps():
     finally:
         tracer.uninstall()
     assert polyideals.membership_bounded is original
+
+
+# a few small commands per benchmark workload that reach every function the
+# traced benchmark requires there (bench/spans.py MUST_CALL)
+WORKLOAD_COMMANDS = {
+    "fp-scan": [
+        ["variety", "--field", "fp:5", "x^2+y^2-1"],
+        ["videal", "--field", "fp:5", "0,1", "1,0"],
+        ["prime-check", "--field", "fp:5", "0,1", "1,0"],
+    ],
+    "certify": [
+        ["member", "--bound", "1", "x*y", "x"],
+        ["member", "--bound", "1", "y", "x"],
+        ["member", "--field", "fp:5", "--bound", "1", "x^2-1", "x-1"],
+        ["viv", "--field", "fp:3", "--vars", "x,y", "x^2-y"],
+        ["hbt", "--field", "fp:7", "x^2-1", "x^2+x"],
+        ["zideal", "prime", "91"],
+        ["zideal", "gens", "12", "18"],
+        ["zideal", "contains", "6", "18"],
+        ["ideals-mod", "12"],
+    ],
+    "plot": [
+        ["plot", "--res", "8", "x^2+y^2-1"],
+        ["plot", "--res", "8", "--format", "svg", "y^2-x^3-x^2"],
+    ],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_COMMANDS))
+def test_benchmark_workload_reaches_every_traced_function(workload):
+    # a refactor that stops calling, say, Domain.element on the fp-scan path
+    # would fail the traced benchmark; this finds it in tier-1
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        for argv in WORKLOAD_COMMANDS[workload]:
+            assert cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0, argv
+    finally:
+        tracer.uninstall()
+    assert tracer.missing_calls(workload) == []
