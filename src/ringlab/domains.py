@@ -114,6 +114,8 @@ class Domain:
         """Reduce an int, Fraction, or string into canonical form."""
         if self.kind == KIND_Q:
             return Fraction(v)
+        if type(v) is int:  # the common case; skips Fraction's ABCMeta instance check
+            return v % self.modulus if self.modulus else v
         if isinstance(v, Fraction):
             if v.denominator != 1:
                 raise DomainMismatch(f"{v} is not an element of {self}")

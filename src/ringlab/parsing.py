@@ -12,7 +12,8 @@ Juxtaposition multiplies ("3x^2y"), but a juxtaposed factor may not start
 with '-'; after an explicit '*' it may.  Identifiers munch greedily, so
 "x2" is one name, never x*2.  Fractions are exact over Q; over F_p and
 Z/n the slash multiplies by the modular inverse; over Z the denominator
-must divide exactly.
+must divide exactly.  Parentheses nest at most MAX_NESTING deep, so a
+deep input is a ParseError rather than a RecursionError.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import AlgebraError, BadCoefficient, ParseError, UnknownVariable
 from .polynomials import Polynomial, PolyRing
 
 _TOKEN_CHARS = set("+-*/^()")
+MAX_NESTING = 100  # parentheses; each level costs about 4 Python frames
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,7 @@ class _Parser:
         self.tokens = tokens
         self.ring = ring
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -130,9 +133,13 @@ class _Parser:
     def base(self) -> Polynomial:
         tok = self.peek()
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos, "(")
             self.advance()
+            self.depth += 1
             f = self.expr()
             self.expect(")")
+            self.depth -= 1
             return f
         if tok.kind == "name":
             self.advance()

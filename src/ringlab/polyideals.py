@@ -30,7 +30,7 @@ from .linalg import solve_mod_p, solve_rational
 from .polynomials import Polynomial, PolyRing, monomials_up_to
 
 RATIONAL_GRID_SPAN = 5
-SCAN_LIMIT = 1_000_000  # points in one exhaustive F_p^n scan (variety, videal, member)
+SCAN_LIMIT = 1_000_000  # points in one F_p^n scan (variety, videal, member) or plot raster
 
 
 def check_scan_size(p: int, n: int) -> None:

@@ -1,20 +1,34 @@
-"""Sign-change rasterization of real plane curves, in exact rational arithmetic.
+"""Sign-change rasterization of real plane curves, in exact integer arithmetic.
 
-The window is split into a grid of cells and the polynomial is evaluated
-at every grid corner with Fractions.  A cell is marked exactly when its
-four corner values are neither all strictly positive nor all strictly
-negative, i.e. when a sign change or an exact zero shows up.  Corner
-sampling can miss a curve that dips into a cell's interior without
-touching a corner sign; that is the documented price of exactness.
+The window is split into a grid of cells and the sign of f is taken at
+every grid corner.  A cell is marked exactly when its four corner signs
+are not all equal and nonzero, i.e. when a sign change or an exact zero
+shows up.  Corner sampling can miss a curve that dips into a cell's
+interior without touching a corner sign; that is the documented price of
+exactness.
+
+The signs come from one integer kernel per corner row, not from a
+Fraction evaluation per corner.  Write f = sum_k c_k(y) x^k; on row y_i
+the c_k(y_i) are exact rationals, and substituting x = xmin + j*dx turns
+the row into a polynomial in the column index, h_i(j) = sum_m b_m j^m (a
+Taylor shift).  Clearing the denominators of the shift coefficients once
+and of the c_k(y_i) once per row multiplies every b_m by the same positive
+integer, which gives integers B_m with the sign of h_i(j) at every j.  So
+Horner on plain ints over j = 0..cols yields exactly the signs that
+evaluating f with Fractions would, zeros included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
+from math import comb, lcm
+from typing import Iterator
 
 from .domains import QQ, ZZ
-from .errors import DegenerateWindow, NotBivariate, UnsupportedDomain, ZeroPolynomial
+from .errors import DegenerateWindow, NotBivariate, TooLarge, UnsupportedDomain, ZeroPolynomial
+from .polyideals import SCAN_LIMIT
 from .polynomials import Polynomial
 
 Window = tuple[Fraction, Fraction, Fraction, Fraction]  # xmin, xmax, ymin, ymax
@@ -61,34 +75,59 @@ def raster_plane_curve(f: Polynomial, window: Window, cols: int, rows: int) -> R
         raise ZeroPolynomial("the zero polynomial vanishes everywhere")
     if cols < 2 or rows < 2:
         raise DegenerateWindow("resolution must be at least 2x2")
+    corners = (cols + 1) * (rows + 1)
+    if corners > SCAN_LIMIT:
+        raise TooLarge(f"a {cols}x{rows} raster has {corners} corners, over the scan "
+                       f"limit of {SCAN_LIMIT}")
     xmin, xmax, ymin, ymax = (Fraction(v) for v in window)
     if not (xmin < xmax and ymin < ymax):
         raise DegenerateWindow(f"window {window} has no area")
 
+    window = (xmin, xmax, ymin, ymax)
+    # per corner row, edge j holds the common sign of corners j and j+1, or 0
+    # when they differ or vanish; a cell is clear iff its top and bottom
+    # edges share a nonzero sign, i.e. its four corner signs do
+    edges = ([s if s == t else 0 for s, t in pairwise(signs)]
+             for signs in corner_signs(f, window, cols, rows))
+    cells = tuple(tuple(not (a and a == b) for a, b in zip(top, bottom))
+                  for top, bottom in pairwise(edges))
+    return RasterGrid(window, cols, rows, cells)
+
+
+def corner_signs(f: Polynomial, window: Window, cols: int, rows: int) -> Iterator[list[int]]:
+    """Exact signs (-1, 0, 1) of f on each row of grid corners, top row first.
+
+    Corner (i, j) is (xmin + j*dx, ymax - i*dy).  The window must hold
+    Fractions and f be nonzero, as raster_plane_curve checks.
+    """
+    xmin, xmax, ymin, ymax = window
     dx = (xmax - xmin) / cols
     dy = (ymax - ymin) / rows
 
-    # corner value signs: corner (i, j) is (xmin + j*dx, ymax - i*dy)
-    signs = []
-    for i in range(rows + 1):
-        y = ymax - i * dy
-        row = []
-        for j in range(cols + 1):
-            x = xmin + j * dx
-            v = f.evaluate((x, y)).value
-            row.append(0 if v == 0 else (1 if v > 0 else -1))
-        signs.append(row)
+    # f = sum_k c_k(y) x^k over the k with c_k != 0, each c_k a polynomial in y alone
+    parts: dict[int, dict] = {}
+    for (ex, ey), c in f.terms.items():
+        parts.setdefault(ex, {})[(0, ey)] = c
+    ks = sorted(parts)
+    coeffs = [Polynomial(f.ring, parts[k]) for k in ks]
+    # h(j) = f(xmin + j*dx, y) = sum_m b_m j^m with b_m = sum_k shift[m][k] c_k(y),
+    # shift[m][k] = C(k,m) xmin^(k-m) dx^m, kept as ints over one denominator
+    shift = [[comb(k, m) * xmin ** (k - m) * dx ** m if k >= m else 0 for k in ks]
+             for m in range(ks[-1] + 1)]
+    den = lcm(*(t.denominator for row in shift for t in row))
+    shift = [[t.numerator * (den // t.denominator) for t in row] for row in shift]
 
-    cells = []
-    for r in range(rows):
-        row = []
-        for c in range(cols):
-            corner = (signs[r][c], signs[r][c + 1], signs[r + 1][c], signs[r + 1][c + 1])
-            all_pos = all(s > 0 for s in corner)
-            all_neg = all(s < 0 for s in corner)
-            row.append(not (all_pos or all_neg))
-        cells.append(tuple(row))
-    return RasterGrid((xmin, xmax, ymin, ymax), cols, rows, tuple(cells))
+    js = range(cols + 1)
+    for i in range(rows + 1):
+        cy = [c.evaluate((0, ymax - i * dy)).value for c in coeffs]
+        scale = lcm(*(v.denominator for v in cy))
+        cy = [v.numerator * (scale // v.denominator) for v in cy]
+        # B_m = den * scale * b_m: a positive multiple, so every sign survives
+        ints = [sum(t * c for t, c in zip(row, cy)) for row in shift]
+        vals = [ints[-1]] * (cols + 1)
+        for coeff in reversed(ints[:-1]):
+            vals = [v * j + coeff for v, j in zip(vals, js)]
+        yield [(v > 0) - (v < 0) for v in vals]
 
 
 def render_ascii(grid: RasterGrid) -> str:

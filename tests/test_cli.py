@@ -192,6 +192,29 @@ def test_plot_vertical_line_default_window():
     assert all(row.count("#") == 2 for row in out.splitlines())
 
 
+def test_plot_of_the_nodal_cubic_at_256_squared_takes_under_one_and_a_half_seconds():
+    # per-corner Fraction evaluation took ~3 s here; the integer row kernel ~0.2 s
+    t0 = time.perf_counter()
+    code, out, err = invoke("plot", "--res", "256", "y^2 - x^2*(x+1)")
+    assert time.perf_counter() - t0 < 1.5
+    assert code == 0, err
+    assert len(out.splitlines()) == 256
+
+
+def test_plot_past_the_corner_limit_exits_three_before_allocating():
+    t0 = time.perf_counter()
+    code, out, err = invoke("plot", "--res", "100000", "x")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert "10000200001 corners" in err and "1000000" in err
+
+
+def test_deep_nesting_is_one_clean_parse_error():
+    code, out, err = invoke("parse", "(" * 3000 + "x" + ")" * 3000)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("parse error:")
+
+
 def test_exit_code_one_for_syntax_and_usage():
     code, out, err = invoke("parse", "x +")
     assert code == 1 and out == "" and "position 3" in err

@@ -4,7 +4,7 @@ import pytest
 
 from ringlab.domains import Fp, QQ, Zn, ZZ
 from ringlab.errors import BadCoefficient, ParseError, UnknownVariable
-from ringlab.parsing import identifiers_in, parse_polynomial, tokenize
+from ringlab.parsing import MAX_NESTING, identifiers_in, parse_polynomial, tokenize
 from ringlab.polynomials import Polynomial, PolyRing
 
 RQ = PolyRing(QQ, ("x", "y"))
@@ -117,3 +117,12 @@ def test_tokenize_positions():
 def test_identifiers_in():
     assert identifiers_in("y^2 - x^2*(x+1)") == ["y", "x"]
     assert identifiers_in("3 + 4") == []
+
+
+def test_nesting_is_capped_at_a_fixed_depth():
+    deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_polynomial(deep, RQ) == parse_polynomial("x", RQ)
+    assert parse_polynomial(f"{deep}*{deep}", RQ) == parse_polynomial("x^2", RQ)  # depth resets
+    with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING}") as info:
+        parse_polynomial("(" + deep + ")", RQ)
+    assert info.value.position == MAX_NESTING

@@ -1,16 +1,24 @@
+import random
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ringlab.domains import Fp, QQ
-from ringlab.errors import DegenerateWindow, NotBivariate, UnsupportedDomain, ZeroPolynomial
+from ringlab.domains import Fp, QQ, ZZ
+from ringlab.errors import (
+    DegenerateWindow,
+    NotBivariate,
+    TooLarge,
+    UnsupportedDomain,
+    ZeroPolynomial,
+)
 from ringlab.parsing import parse_polynomial
 from ringlab.polynomials import Polynomial, PolyRing
-from ringlab.raster import raster_plane_curve, render_ascii, render_svg
+from ringlab.raster import corner_signs, raster_plane_curve, render_ascii, render_svg
 
 RQ2 = PolyRing(QQ, ("x", "y"))
+RZ2 = PolyRing(ZZ, ("x", "y"))
 DATA = Path(__file__).parent / "data"
 
 SQUARE = (Fraction(-2), Fraction(2), Fraction(-2), Fraction(2))
@@ -115,3 +123,97 @@ def test_exact_rational_windows():
     grid = raster_plane_curve(f, window, 2, 2)
     # x = 1/3 is exactly the interior grid line: every cell touches it
     assert len(grid.marked()) == 4
+
+
+def test_raster_refuses_more_corners_than_the_scan_limit():
+    f = parse_polynomial("x", RQ2)
+    with pytest.raises(TooLarge, match="10000200001 corners"):
+        raster_plane_curve(f, SQUARE, 100_000, 100_000)
+    with pytest.raises(TooLarge, match="1000000"):
+        raster_plane_curve(f, SQUARE, 1000, 999)  # 1001 * 1000 corners
+    assert raster_plane_curve(f, SQUARE, 999, 999).cols == 999  # 10^6 corners exactly
+
+
+# -- differential test: the integer row kernel against per-corner Fractions --
+
+def oracle_signs(f, window, cols, rows):
+    """Sign of f at every grid corner, one Fraction evaluation each."""
+    xmin, xmax, ymin, ymax = (Fraction(v) for v in window)
+    dx = (xmax - xmin) / cols
+    dy = (ymax - ymin) / rows
+    signs = []
+    for i in range(rows + 1):
+        y = ymax - i * dy
+        row = []
+        for j in range(cols + 1):
+            v = f.evaluate((xmin + j * dx, y)).value
+            row.append(0 if v == 0 else (1 if v > 0 else -1))
+        signs.append(row)
+    return signs
+
+
+def oracle_cells(f, window, cols, rows):
+    """Marked unless all four corner values are strictly positive or negative."""
+    signs = oracle_signs(f, window, cols, rows)
+    cells = []
+    for r in range(rows):
+        row = []
+        for c in range(cols):
+            corner = (signs[r][c], signs[r][c + 1], signs[r + 1][c], signs[r + 1][c + 1])
+            all_pos = all(s > 0 for s in corner)
+            all_neg = all(s < 0 for s in corner)
+            row.append(not (all_pos or all_neg))
+        cells.append(tuple(row))
+    return tuple(cells)
+
+
+def assert_matches_oracle(f, window, cols, rows):
+    window = tuple(Fraction(v) for v in window)
+    assert list(corner_signs(f, window, cols, rows)) == oracle_signs(f, window, cols, rows)
+    assert raster_plane_curve(f, window, cols, rows).cells == oracle_cells(f, window, cols, rows)
+
+
+def random_curve(ring, rng):
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        ex = rng.randint(0, 4)
+        ey = rng.randint(0, 4 - ex)
+        num = rng.randint(-6, 6)
+        terms[(ex, ey)] = num if ring.domain == ZZ else Fraction(num, rng.randint(1, 5))
+    f = Polynomial(ring, terms)
+    return f if not f.is_zero else Polynomial.variable(ring, "x")
+
+
+def random_window(rng):
+    def interval():
+        lo = Fraction(rng.randint(-12, 6), rng.randint(1, 7))
+        return lo, lo + Fraction(rng.randint(1, 12), rng.randint(1, 7))
+    (x0, x1), (y0, y1) = interval(), interval()
+    return (x0, x1, y0, y1)
+
+
+@pytest.mark.parametrize("ring", [RQ2, RZ2], ids=["q", "z"])
+def test_row_kernel_matches_per_corner_fractions_on_random_curves(ring):
+    rng = random.Random(6 if ring is RQ2 else 7)
+    for _ in range(60):
+        f = random_curve(ring, rng)
+        assert_matches_oracle(f, random_window(rng), rng.randint(2, 13), rng.randint(2, 11))
+
+
+@pytest.mark.parametrize("text", ["x", "y", "x*y", "x^2 - y^2", "x^3*y - x*y^3",
+                                  "y^2 - x^2*(x+1)", "x^4 + y^4 - 1/16"])
+@pytest.mark.parametrize("res", [(8, 8), (6, 4), (4, 10)])
+def test_row_kernel_matches_on_curves_through_grid_corners(text, res):
+    f = parse_polynomial(text, RQ2)
+    for window in ((-1, 1, -1, 1), (-2, 2, -1, 1), (Fraction(-1, 2), Fraction(1, 2), -1, 1)):
+        assert_matches_oracle(f, window, *res)
+
+
+@pytest.mark.parametrize("ring", [RQ2, RZ2], ids=["q", "z"])
+def test_row_kernel_matches_without_x_terms_without_y_terms_and_for_constants(ring):
+    window = (Fraction(-3, 2), Fraction(5, 3), Fraction(-1, 7), Fraction(2))
+    for text in ("y^2 - 1", "4*y^3 - y", "x^3 - x", "2*x - 1", "5", "-2"):
+        assert_matches_oracle(parse_polynomial(text, ring), window, 7, 5)
+    for text in ("5", "-2"):
+        grid = raster_plane_curve(parse_polynomial(text, ring), window, 7, 5)
+        assert grid.marked() == []
