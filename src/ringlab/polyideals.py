@@ -30,7 +30,7 @@ from .linalg import solve_mod_p, solve_rational
 from .polynomials import Polynomial, PolyRing, monomials_up_to
 
 RATIONAL_GRID_SPAN = 5
-SCAN_LIMIT = 1_000_000  # points in one F_p^n scan (variety, videal, member) or plot raster
+SCAN_LIMIT = 1_000_000  # points in one F_p^n or Q-grid scan (variety, videal, member) or plot raster
 
 
 def check_scan_size(p: int, n: int) -> None:
@@ -172,11 +172,10 @@ def common_zeros(ideal: IdealPresentation) -> Iterator[tuple[RingElement, ...]]:
 
 
 def _scan_points(dom: Domain, nvars: int) -> Iterable[tuple]:
-    if dom == QQ:
-        span = range(-RATIONAL_GRID_SPAN, RATIONAL_GRID_SPAN + 1)
-        return itertools.product([Fraction(v) for v in span], repeat=nvars)
-    check_scan_size(dom.modulus, nvars)
-    return itertools.product(range(dom.modulus), repeat=nvars)
+    span = range(-RATIONAL_GRID_SPAN, RATIONAL_GRID_SPAN + 1)
+    values = [Fraction(v) for v in span] if dom == QQ else range(dom.modulus)
+    check_scan_size(len(values), nvars)
+    return itertools.product(values, repeat=nvars)
 
 
 EQUAL_WITHIN_BOUND = "equal_within_bound"

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ringlab import domains
 from ringlab.cli import run, split_argv, UsageError
 
 DATA = Path(__file__).parent / "data"
@@ -75,6 +76,23 @@ def test_primality_of_large_moduli_answers_within_a_second(argv, code, expected)
     got_code, out, err = invoke(*argv)
     assert time.perf_counter() - t0 < 1.0
     assert (got_code, out) == (code, expected), err
+
+
+def test_zideal_prime_splits_a_composite_without_a_small_factor_by_rho():
+    # trial division to the factor 399165290221 ran past 5 s
+    n = 318665857834031151167461
+    t0 = time.perf_counter()
+    code, out, err = invoke("zideal", "prime", str(n))
+    assert time.perf_counter() - t0 < 2.0
+    assert (code, out) == (0, f"not prime: {n} = 399165290221*798330580441 with "
+                              f"399165290221,798330580441 not in ({n})\n"), err
+
+
+def test_zideal_prime_past_the_rho_budget_exits_three(monkeypatch):
+    monkeypatch.setattr(domains, "RHO_BUDGET", 1000)
+    code, out, err = invoke("zideal", "prime", "318665857834031151167461")
+    assert code == 3 and out == ""
+    assert "steps" in err and "budget 1000" in err
 
 
 def test_zideal_gens_and_contains():
@@ -252,6 +270,18 @@ def test_exit_code_three_for_resource_limits():
     code, out, err = invoke("member", "--field", "fp:32003", "--vars", "x,y,z",
                             "--bound", "1", "1", "x*y - z", "y + z")
     assert code == 3 and out == ""
+
+
+def test_rational_witness_scan_past_the_scan_limit_exits_three():
+    # 11^6 grid points; the scan ran past 20 s before the limit covered Q
+    t0 = time.perf_counter()
+    code, out, err = invoke("member", "--bound", "0", "--vars", "a,b,c,d,e,f", "1", "a")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert "11^6 points" in err
+    # 11^5 points are within the limit; a+5 vanishes at the first grid point
+    code, out, err = invoke("member", "--bound", "0", "--vars", "a,b,c,d,e", "1", "a+5")
+    assert (code, out) == (0, "non-member\n  witness: (-5, -5, -5, -5, -5)\n"), err
 
 
 def test_viv_certifies_curves_without_a_cofactor_search():

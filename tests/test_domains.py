@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ringlab import domains
 from ringlab.domains import (
     Fp,
     ModHomomorphism,
@@ -109,16 +111,60 @@ def test_is_prime_small():
     assert {n for n in range(31) if is_prime(n)} == primes
 
 
+def least_divisor(n):
+    # trial division, the oracle for smallest_factor and is_prime
+    return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+
+
 def test_smallest_factor_is_least_divisor():
     for n in range(2, 500):
         assert smallest_factor(n) == next(d for d in range(2, n + 1) if n % d == 0)
     assert smallest_factor(2305843009213693951 * 3) == 3
+    # no factor below 10^4: found by rho, and the least of the parts is returned
+    for a, b in [(10007, 10009), (10007, 10007), (99991, 100003), (1000003, 1000033),
+                 (100003, 10007 * 10009)]:
+        assert smallest_factor(a * b) == min(a, least_divisor(b)), (a, b)
+    assert smallest_factor(10007 ** 3) == 10007
+    assert smallest_factor(318665857834031151167461) == 399165290221
+    # from 43^2 on, rho splits the composites without a factor up to 41; it
+    # often finds both factors of a small n in one batch of differences
+    for n in range(43 ** 2, 6000):
+        assert smallest_factor(n) == least_divisor(n), n
+    # products of three primes in every order of size: rho need not split
+    # off the least prime first
+    primes = [q for q in range(43, 400) if least_divisor(q) == q]
+    rng = random.Random(7)
+    for _ in range(300):
+        factors = rng.sample(primes, 3)
+        assert smallest_factor(math.prod(factors)) == min(factors), factors
+
+
+def test_smallest_factor_of_a_composite_with_a_cofactor_past_the_primality_bound():
+    # 2^89 - 1 is prime but past MR_BOUND, so is_prime raises on it; the
+    # factor below its cofactor is still found (by division)
+    m89 = 2 ** 89 - 1
+    with pytest.raises(TooLarge):
+        is_prime(m89)
+    assert smallest_factor(43 * m89) == 43
+    assert smallest_factor(10007 * 10009 * m89) == 10007
+    assert smallest_factor(100003 * 10007 * m89) == 10007
+    primes = [q for q in range(43, 2000) if least_divisor(q) == q]
+    rng = random.Random(89)
+    for _ in range(100):
+        p, q = rng.sample(primes, 2)
+        assert smallest_factor(p * q * m89) == min(p, q), (p, q)
+
+
+def test_smallest_factor_past_the_rho_budget_raises(monkeypatch):
+    monkeypatch.setattr(domains, "RHO_BUDGET", 100)
+    with pytest.raises(TooLarge, match="budget 100"):
+        smallest_factor(10007 * 10009)
 
 
 def test_is_prime_agrees_with_trial_division_below_ten_to_the_five():
     assert not any(is_prime(n) for n in range(-3, 2))
     for n in range(2, 10 ** 5):
-        assert is_prime(n) == (smallest_factor(n) == n), n
+        assert is_prime(n) == (least_divisor(n) == n), n
 
 
 def test_is_prime_rejects_strong_pseudoprimes_to_the_small_bases():

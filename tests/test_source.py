@@ -79,3 +79,12 @@ def test_benchmark_workload_reaches_every_traced_function(workload):
     finally:
         tracer.uninstall()
     assert tracer.missing_calls(workload) == []
+
+
+def test_usage_and_readme_list_the_command_table_in_order():
+    table = list(cli.COMMANDS)
+    usage_block = cli.USAGE.split("commands:\n")[1].split("\n\n")[0]
+    assert [line.split()[0] for line in usage_block.splitlines()] == table
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = [line for line in readme.splitlines() if line.startswith("| `")]
+    assert [row[3:].split()[0].rstrip("`") for row in rows] == table
