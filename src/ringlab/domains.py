@@ -264,6 +264,14 @@ class RingElement:
     def __post_init__(self):
         object.__setattr__(self, "value", self.domain.canon(self.value))
 
+    @classmethod
+    def trusted(cls, domain: Domain, value: Value) -> "RingElement":
+        """Wrap a value that is already canonical in domain, without canon."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "domain", domain)
+        object.__setattr__(e, "value", value)
+        return e
+
     def _coerce(self, other) -> "RingElement":
         if isinstance(other, RingElement):
             if other.domain != self.domain:

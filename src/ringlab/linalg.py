@@ -1,60 +1,100 @@
-"""Exact linear algebra: fraction-free elimination over Q, modular over F_p.
+"""Exact linear algebra: one sparse Gauss-Jordan kernel over Z and F_p.
 
-Rational systems are scaled row-wise to integers and run through Bareiss
-fraction-free elimination (all intermediate entries stay integral); back
-substitution reintroduces exact Fractions only at the end.  Modular
-systems use plain row reduction with modular inverses.
+Every solve and nullspace runs through `_gauss_jordan` on rows stored as
+dicts (column -> nonzero int).  A rational system is first scaled row by
+row to integers (by the lcm of the row's denominators); elimination stays
+in Z and divides every updated row by its content.  Over F_p each pivot
+row is scaled to a leading 1.  A column's pivot is the unused row with the
+fewest nonzeros, which keeps fill-in low on sparse Macaulay matrices.
+
+Columns are eliminated strictly in order, so column j gets a pivot exactly
+when it is not in the span of the columns before it, whichever row is
+picked.  The reduced pivot rows are then fixed up to scale, and so is
+every answer read off them: the solution with free variables zero, and
+the nullspace basis with one vector per free column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
-Matrix = list[list[int]]
+Row = dict[int, int]
 
 
-def _to_integer_rows(rows: Sequence[Sequence]) -> Matrix:
-    """Scale each row by the lcm of its denominators; solutions unchanged."""
-    out: Matrix = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        out.append([int(f * scale) for f in fracs])
-    return out
+def _integer_row(row: Sequence) -> Row:
+    """The nonzero entries of a rational row, scaled to integers by the lcm of their denominators."""
+    fracs = {j: Fraction(x) for j, x in enumerate(row) if x}
+    scale = lcm(*(f.denominator for f in fracs.values()))
+    return {j: f.numerator * (scale // f.denominator) for j, f in fracs.items()}
 
 
-def _bareiss_echelon(m: Matrix) -> tuple[Matrix, list[int]]:
-    """In-place fraction-free row echelon; returns (matrix, pivot columns)."""
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    prev = 1
-    r = 0
+def _residue_row(row: Sequence[int], p: int) -> Row:
+    return {j: r for j, x in enumerate(row) if (r := x % p)}
+
+
+def _gauss_jordan(rows: list[Row], ncols: int, p: int = 0) -> list[tuple[int, Row]]:
+    """Reduce rows in place over Z (p = 0) or F_p; the (column, pivot row) pairs in column order.
+
+    Each column below ncols is cleared from every row but its pivot row,
+    the earlier pivot rows included.
+    """
+    holders: dict[int, set[int]] = {}  # column -> rows with a nonzero there
+    for i, row in enumerate(rows):
+        for k in row:
+            holders.setdefault(k, set()).add(i)
+    used: set[int] = set()
+    pivots = []
     for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
+        cands = holders.get(c, set()) - used
+        if not cands:
             continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, nrows):
-            row_i, row_r = m[i], m[r]
-            head = row_i[c]
-            for j in range(c, ncols):
-                num = row_i[j] * pivot - head * row_r[j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise AssertionError("fraction-free update was not integral")
-                row_i[j] = q
-        prev = pivot
-        pivots.append(c)
-        r += 1
-    return m, pivots
+        r = min(cands, key=lambda i: (len(rows[i]), i))
+        used.add(r)
+        prow = rows[r]
+        if p:
+            inv = pow(prow[c], -1, p)
+            prow = rows[r] = {k: v * inv % p for k, v in prow.items()}
+        a = prow[c]
+        for i in holders[c] - {r}:
+            row = rows[i]
+            t = row[c]
+            if not p:  # row <- (a/g) row - (t/g) prow, g = gcd(a, t)
+                g = gcd(a, t)
+                s, t = a // g, t // g
+                if s != 1:
+                    for k in row:
+                        row[k] *= s
+            for k, v in prow.items():
+                x = row.get(k)
+                if x is None:
+                    row[k] = -t * v % p if p else -t * v
+                    holders.setdefault(k, set()).add(i)
+                    continue
+                x = (x - t * v) % p if p else x - t * v
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+                    holders[k].discard(i)
+            if not p and (g := gcd(*row.values())) > 1:
+                for k in row:
+                    row[k] //= g
+        pivots.append((c, prow))
+    return pivots
+
+
+def _solve(rows: list[Row], ncols: int, p: int) -> list | None:
+    """Read x off the reduced system [A | b] (b in column ncols): free variables 0."""
+    pivots = _gauss_jordan(rows, ncols + 1, p)
+    if pivots and pivots[-1][0] == ncols:
+        return None  # a pivot in the rhs column: inconsistent
+    sol = [0 if p else Fraction(0)] * ncols
+    for c, row in pivots:
+        b = row.get(ncols, 0)
+        sol[c] = b if p else Fraction(b, row[c])  # over F_p the pivot is 1
+    return sol
 
 
 def solve_rational(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
@@ -64,72 +104,30 @@ def solve_rational(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | 
     solution in column order.
     """
     ncols = len(rows[0]) if rows else 0
-    aug = _to_integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])
-    if not aug:
-        return [Fraction(0)] * ncols
-    m, pivots = _bareiss_echelon(aug)
-    if ncols in pivots:
-        return None  # pivot in the rhs column: inconsistent
-    sol = [Fraction(0)] * ncols
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        acc = Fraction(m[r][ncols])
-        for j in range(c + 1, ncols):
-            if m[r][j]:
-                acc -= m[r][j] * sol[j]
-        sol[c] = acc / m[r][c]
-    return sol
+    return _solve([_integer_row([*row, b]) for row, b in zip(rows, rhs)], ncols, 0)
 
 
 def solve_mod_p(rows: Sequence[Sequence[int]], rhs: Sequence[int], p: int) -> list[int] | None:
-    """One solution of A x = b over F_p, or None if inconsistent."""
+    """One solution of A x = b over F_p (free variables zero), or None if inconsistent."""
     ncols = len(rows[0]) if rows else 0
-    m = [[x % p for x in row] + [b % p] for row, b in zip(rows, rhs)]
-    pivots = _reduce_mod_p(m, p, ncols + 1)
-    if ncols in pivots:
-        return None
-    sol = [0] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = m[r][ncols]
-    return sol
+    return _solve([_residue_row([*row, b], p) for row, b in zip(rows, rhs)], ncols, p)
 
 
-def nullspace_mod_p(rows: Sequence[Sequence[int]], p: int, ncols: int) -> list[list[int]]:
-    """Basis of the right nullspace over F_p, one vector per free column."""
-    m = [[x % p for x in row] for row in rows]
-    pivots = _reduce_mod_p(m, p, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-m[r][free]) % p
-        basis.append(v)
-    return basis
+def nullspace_mod_p(rows: Sequence[Sequence[int]], p: int, ncols: int) -> list[Row]:
+    """Basis of the right nullspace over F_p, one sparse vector per free column.
 
-
-def _reduce_mod_p(m: Matrix, p: int, ncols: int) -> list[int]:
-    """Gauss-Jordan over F_p, in place; returns pivot columns."""
-    nrows = len(m)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c] % p != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
+    The vector of free column f is 1 at f and minus f's entry of each pivot
+    row at that row's column, which lies left of f; its keys ascend, and it
+    has at most rank + 1 of them.
+    """
+    pivots = _gauss_jordan([_residue_row(row, p) for row in rows], ncols, p)
+    basis: dict[int, Row] = {f: {} for f in range(ncols)}
+    for c, _ in pivots:
+        del basis[c]
+    for c, row in pivots:
+        for k, x in row.items():
+            if k != c:
+                basis[k][c] = -x % p
+    for f, v in basis.items():
+        v[f] = 1
+    return list(basis.values())

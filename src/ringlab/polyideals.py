@@ -12,6 +12,7 @@ verdict when the search space is exhausted.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -30,6 +31,7 @@ from .linalg import solve_mod_p, solve_rational
 from .polynomials import Polynomial, PolyRing, monomials_up_to
 
 RATIONAL_GRID_SPAN = 5
+MATRIX_CELL_LIMIT = 10_000_000  # rows x columns of one membership matrix
 SCAN_LIMIT = 1_000_000  # points in one F_p^n or Q-grid scan (variety, videal, member) or plot raster
 
 
@@ -108,6 +110,7 @@ def membership_bounded(f: Polynomial, ideal: IdealPresentation, bound: int) -> M
     if not ring.domain.is_field:
         raise UnsupportedDomain(f"membership needs field coefficients, not {ring.domain}")
 
+    check_matrix_size(f, gens, bound)
     shifts = monomials_up_to(ring.nvars, bound)
     columns = [  # column (i, m) is m * g_i; its solved coefficient is h_i's on m
         Polynomial(ring, {tuple(a + b for a, b in zip(exps, shift)): c
@@ -133,26 +136,40 @@ def membership_bounded(f: Polynomial, ideal: IdealPresentation, bound: int) -> M
     return MembershipCertificate(UNKNOWN, bound)
 
 
+def check_matrix_size(f: Polynomial, gens: Sequence[Polynomial], bound: int) -> None:
+    """Refuse a membership matrix past MATRIX_CELL_LIMIT before building it.
+
+    Columns are the C(bound+n, n) shifts of each generator; the rows are at
+    most the monomials of degree max(bound + max deg g, deg f).
+    """
+    n = f.ring.nvars
+    cols = math.comb(bound + n, n) * len(gens)
+    top = max([bound + int(g.total_degree()) for g in gens] + [f.total_degree(), 0])
+    cells = math.comb(top + n, n) * cols
+    if cells > MATRIX_CELL_LIMIT:
+        raise TooLarge(f"membership matrix of about {cells} cells at bound {bound} exceeds "
+                       f"the limit of {MATRIX_CELL_LIMIT}")
+
+
 def solve_in_span(target: Polynomial, columns: Sequence[Polynomial]) -> list | None:
     """Coefficients c with sum c_j columns[j] = target (free ones zero), or None.
 
-    One exact solve over the coefficient field: Bareiss over Q, row
-    reduction over F_p.  Rows are the target's monomials, then each
+    One exact solve over the coefficient field by linalg's sparse
+    Gauss-Jordan kernel.  Rows are the target's monomials, then each
     column's in order of first appearance.
     """
     dom = target.ring.domain
-    zero = dom.zero
     if target.is_zero:
-        return [zero] * len(columns)
+        return [dom.zero] * len(columns)
     row_of: dict[tuple[int, ...], int] = {}
     for poly in (target, *columns):
         for exps in poly.terms:
             row_of.setdefault(exps, len(row_of))
-    matrix = [[zero] * len(columns) for _ in row_of]
+    matrix = [[0] * len(columns) for _ in row_of]  # int zeros: a cheap truth test in linalg
     for j, col in enumerate(columns):
         for exps, c in col.terms.items():
             matrix[row_of[exps]][j] = c
-    rhs = [zero] * len(row_of)
+    rhs = [0] * len(row_of)
     for exps, c in target.terms.items():
         rhs[row_of[exps]] = c
     if dom == QQ:

@@ -293,7 +293,7 @@ class Polynomial:
                 if e:
                     term = dom.mul(term, dom.pow(x, e))
             total = dom.add(total, term)
-        return RingElement(dom, total)
+        return RingElement.trusted(dom, total)
 
     # -- identity -------------------------------------------------------------
 

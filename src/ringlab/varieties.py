@@ -170,7 +170,7 @@ def vanishing_ideal(points: PointSet, variables: tuple[str, ...] | None = None) 
 
     basis = nullspace_mod_p(matrix, p, len(monos))
     gens = tuple(
-        Polynomial(ring, {monos[j]: c for j, c in enumerate(vec) if c})
+        Polynomial(ring, {monos[j]: c for j, c in vec.items()})
         for vec in basis
     )
     if len(gens) != p ** n - len(points):

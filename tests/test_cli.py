@@ -1,5 +1,10 @@
+import hashlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -9,6 +14,7 @@ from ringlab import domains
 from ringlab.cli import run, split_argv, UsageError
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def invoke(*argv):
@@ -282,6 +288,42 @@ def test_rational_witness_scan_past_the_scan_limit_exits_three():
     # 11^5 points are within the limit; a+5 vanishes at the first grid point
     code, out, err = invoke("member", "--bound", "0", "--vars", "a,b,c,d,e", "1", "a+5")
     assert (code, out) == (0, "non-member\n  witness: (-5, -5, -5, -5, -5)\n"), err
+
+
+def run_capped(argv, address_space):
+    """Run the CLI in a child process whose address space is capped."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-m", "ringlab.cli", *argv], capture_output=True,
+                          text=True, env=env, preexec_fn=cap, timeout=60)
+
+
+def test_videal_over_f23_cubed_fits_in_half_a_gibibyte():
+    # a dense nullspace basis of (23^3)^2 entries raised MemoryError under a 1 GiB cap
+    t0 = time.perf_counter()
+    done = run_capped(["videal", "--field", "fp:23", "0,0,0"], 512 << 20)
+    assert time.perf_counter() - t0 < 3.0
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    lines = done.stdout.splitlines()
+    gens = lines[lines.index("generators:") + 1:lines.index("field equations:")]
+    assert len(gens) == 23 ** 3 - 1 and gens[0] == "  z"
+
+
+def test_videal_output_bytes_are_unchanged():
+    code, out, err = invoke("videal", "--field", "fp:17", "0,0,0", "1,2,3")
+    assert code == 0, err
+    assert hashlib.md5(out.encode()).hexdigest() == "3040eb35861d2a89991fa3ede92ba0e9"
+
+
+def test_member_past_the_matrix_cell_limit_exits_three_before_allocating():
+    # the dense membership matrix ran ~10 s into a MemoryError traceback under 1 GiB
+    for bound in ("1000", "100000"):
+        t0 = time.perf_counter()
+        code, out, err = invoke("member", "--bound", bound, "x", "y")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "10000000" in err and "cells" in err
 
 
 def test_viv_certifies_curves_without_a_cofactor_search():

@@ -3,10 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringlab import polyideals
 from ringlab.domains import Fp, QQ, ZZ
 from ringlab.errors import (
     InseparableCase,
     NotEnoughVariables,
+    TooLarge,
     UnsupportedDomain,
     ZeroIdeal,
     ZeroPolynomial,
@@ -86,6 +88,25 @@ def test_unknown_verdict_over_q_without_grid_witness():
     cert = membership_bounded(q1("x"), ideal, 2)
     assert cert.verdict == UNKNOWN
     assert cert.bound == 2
+
+
+@pytest.mark.parametrize("ring", [RQ2, RF5_2, PolyRing(QQ, ("x", "y", "z"))], ids=str)
+def test_matrix_cell_estimate_bounds_the_matrix_that_is_built(ring, monkeypatch):
+    cases = [("x^3*y - 1", ("x^2 + y", "x*y - 1"), 3), ("y^5", ("x",), 4),
+             ("1", ("x^2 - y", "y^3 + x*y + 1", "x + y + 1"), 2), ("x^7 + y", ("x*y",), 1)]
+    solvers = {"solve_rational": polyideals.solve_rational, "solve_mod_p": polyideals.solve_mod_p}
+    for f, gens, bound in cases:
+        f = parse_polynomial(f, ring)
+        ideal = IdealPresentation(ring, tuple(parse_polynomial(g, ring) for g in gens))
+        cells = []
+        for name, solve in solvers.items():
+            monkeypatch.setattr(polyideals, name, lambda rows, *rest, solve=solve:
+                                cells.append(len(rows) * len(rows[0])) or solve(rows, *rest))
+        monkeypatch.setattr(polyideals, "MATRIX_CELL_LIMIT", 10 ** 7)
+        membership_bounded(f, ideal, bound)
+        monkeypatch.setattr(polyideals, "MATRIX_CELL_LIMIT", cells[0] - 1)
+        with pytest.raises(TooLarge, match=f"at bound {bound} exceeds the limit of {cells[0] - 1}"):
+            membership_bounded(f, ideal, bound)
 
 
 def test_integer_coefficients_rejected():
