@@ -22,6 +22,7 @@ from .errors import (
     AlgebraError,
     ParseError,
     ResourceLimitError,
+    TooLarge,
     UnsupportedDomain,
 )
 from .intideals import IntIdeal, enumerate_ideals_mod_n
@@ -33,13 +34,14 @@ from .polyideals import (
     MEMBER,
     NON_MEMBER,
     RIGHT_NOT_IN_LEFT,
+    check_chain_size,
     hbt_extract_univariate,
     ideal_equal_bounded,
     membership_bounded,
     radical_univariate,
     strict_chain_demo,
 )
-from .polynomials import PolyRing, format_polynomial, poly_to_json
+from .polynomials import DIGIT_LIMIT, PolyRing, format_polynomial, poly_to_json
 from .raster import raster_plane_curve, render_ascii, render_svg
 from .varieties import (
     PointSet,
@@ -236,7 +238,10 @@ def _ideal_eq(opts, args) -> tuple[dict, str]:
 
 def _chain_demo(opts, args):
     k = _int_arg(args[0], "k", least=0)
-    names = opts.names or tuple(f"x{i}" for i in range(1, k + 2))
+    names = opts.names
+    if names is None:
+        check_chain_size(k, k + 1)  # before building k + 1 default names
+        names = tuple(f"x{i}" for i in range(1, k + 2))
     return strict_chain_demo(k, PolyRing(opts.domain, names))
 
 
@@ -463,9 +468,13 @@ def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None
         if fmt not in command.render:
             raise UsageError(f"--format must be one of {', '.join(command.render)}")
         _check_arity(args, *command.arity)
-        output = command.render[fmt](command.run(Options(flags), args))
-        if fmt == "json":
-            output = json.dumps(output, indent=2) + "\n"
+        result = command.run(Options(flags), args)
+        try:
+            output = command.render[fmt](result)
+            if fmt == "json":
+                output = json.dumps(output, indent=2) + "\n"
+        except ValueError:  # str() of an int past Python's digit limit, in a sum or product
+            raise TooLarge(f"the answer holds a number of more than {DIGIT_LIMIT} digits") from None
     except UsageError as exc:
         stderr.write(f"usage error: {exc}\n")
         return 1

@@ -1,8 +1,9 @@
 """Exact coefficient domains: the integers, the rationals, Z/n, and prime fields.
 
-A ``Domain`` carries the arithmetic for raw values (Python ints, or
-``fractions.Fraction`` for the rationals) and ``RingElement`` wraps a raw
-value together with its domain for the public API.  Z/n residues are kept
+A ``Domain`` canonicalizes, inverts and powers raw values (Python ints, or
+``fractions.Fraction`` for the rationals); sums and products are formed raw
+with ``+ - *`` and canonicalized once per result.  ``RingElement`` wraps a
+raw value with its domain for the public API.  Z/n residues are kept
 canonical in ``[0, n)``; rationals are always in lowest terms with a
 positive denominator (``Fraction`` guarantees both).  Z/1 is a legal ring
 whose single element satisfies 1 = 0.
@@ -174,18 +175,6 @@ class Domain:
     def one(self) -> Value:
         return self.canon(1)
 
-    def add(self, a: Value, b: Value) -> Value:
-        return (a + b) % self.modulus if self.modulus else a + b
-
-    def sub(self, a: Value, b: Value) -> Value:
-        return (a - b) % self.modulus if self.modulus else a - b
-
-    def mul(self, a: Value, b: Value) -> Value:
-        return (a * b) % self.modulus if self.modulus else a * b
-
-    def neg(self, a: Value) -> Value:
-        return (-a) % self.modulus if self.modulus else -a
-
     def inv(self, a: Value) -> Value:
         """Multiplicative inverse of a canonical value.
 
@@ -285,7 +274,7 @@ class RingElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RingElement(self.domain, self.domain.add(self.value, other.value))
+        return RingElement(self.domain, self.value + other.value)
 
     __radd__ = __add__
 
@@ -293,7 +282,7 @@ class RingElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RingElement(self.domain, self.domain.sub(self.value, other.value))
+        return RingElement(self.domain, self.value - other.value)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -302,12 +291,12 @@ class RingElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RingElement(self.domain, self.domain.mul(self.value, other.value))
+        return RingElement(self.domain, self.value * other.value)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return RingElement(self.domain, self.domain.neg(self.value))
+        return RingElement(self.domain, -self.value)
 
     def __pow__(self, e: int):
         return RingElement(self.domain, self.domain.pow(self.value, e))
@@ -317,7 +306,7 @@ class RingElement:
 
     @property
     def is_zero(self) -> bool:
-        return self.value == self.domain.zero
+        return not self.value
 
     def __str__(self) -> str:
         return str(self.value)

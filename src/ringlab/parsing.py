@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .domains import QQ, ZZ
-from .errors import AlgebraError, BadCoefficient, ParseError, UnknownVariable
-from .polynomials import Polynomial, PolyRing
+from .errors import AlgebraError, BadCoefficient, ParseError, TooLarge, UnknownVariable
+from .polynomials import DIGIT_LIMIT, Polynomial, PolyRing
 
 _TOKEN_CHARS = set("+-*/^()")
 MAX_NESTING = 100  # parentheses; each level costs about 4 Python frames
@@ -53,6 +53,9 @@ def tokenize(text: str) -> list[Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > DIGIT_LIMIT:
+                raise TooLarge(f"a {j - i}-digit number at position {i} exceeds the limit of "
+                               f"{DIGIT_LIMIT} digits")
             tokens.append(Token("nat", text[i:j], i))
             i = j
             continue
@@ -169,7 +172,7 @@ class _Parser:
                 raise BadCoefficient(f"{num}/{den} is not an integer", pos)
             return num // den
         try:
-            return dom.mul(dom.canon(num), dom.inv(dom.canon(den)))
+            return num * dom.inv(dom.canon(den))  # Polynomial.constant reduces it
         except AlgebraError:
             raise BadCoefficient(f"{num}/{den} has no meaning in {dom}: denominator "
                                  f"is not a unit", pos) from None

@@ -28,7 +28,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .linalg import solve_mod_p, solve_rational
-from .polynomials import Polynomial, PolyRing, monomials_up_to
+from .polynomials import WORK_LIMIT, Polynomial, PolyRing, monomials_up_to
 
 RATIONAL_GRID_SPAN = 5
 MATRIX_CELL_LIMIT = 10_000_000  # rows x columns of one membership matrix
@@ -219,21 +219,15 @@ def ideal_equal_bounded(left: IdealPresentation, right: IdealPresentation,
     if left.ring != right.ring:
         raise RingMismatch(f"{left.ring} vs {right.ring}")
     saw_unknown = False
-    for g in left.generators:
-        cert = membership_bounded(g, right, bound)
-        if cert.verdict == NON_MEMBER:
-            return IdealComparison(LEFT_NOT_IN_RIGHT, g, cert)
-        if cert.verdict == UNKNOWN:
-            saw_unknown = True
-    for g in right.generators:
-        cert = membership_bounded(g, left, bound)
-        if cert.verdict == NON_MEMBER:
-            return IdealComparison(RIGHT_NOT_IN_LEFT, g, cert)
-        if cert.verdict == UNKNOWN:
-            saw_unknown = True
-    if saw_unknown:
-        return IdealComparison(UNKNOWN)
-    return IdealComparison(EQUAL_WITHIN_BOUND)
+    for gens, other, kind in ((left.generators, right, LEFT_NOT_IN_RIGHT),
+                              (right.generators, left, RIGHT_NOT_IN_LEFT)):
+        for g in gens:
+            cert = membership_bounded(g, other, bound)
+            if cert.verdict == NON_MEMBER:
+                return IdealComparison(kind, g, cert)
+            if cert.verdict == UNKNOWN:
+                saw_unknown = True
+    return IdealComparison(UNKNOWN if saw_unknown else EQUAL_WITHIN_BOUND)
 
 
 # -- univariate division, gcd, radical ---------------------------------------
@@ -257,7 +251,7 @@ def divmod_univariate(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynom
     lead_inv = dom.inv(g.terms[(dg,)])
     while not rem.is_zero and rem.degree() >= dg:
         dr = rem.degree()
-        coeff = dom.mul(rem.terms[(dr,)], lead_inv)
+        coeff = rem.terms[(dr,)] * lead_inv  # Polynomial.monomial reduces it
         step = Polynomial.monomial(ring, (dr - dg,), coeff)
         quo = quo + step
         rem = rem - step * g
@@ -335,7 +329,11 @@ def strict_chain_demo(k: int, ring: PolyRing) -> list[ChainStep]:
         raise ValueError("k must be >= 0")
     if ring.nvars < k + 1:
         raise NotEnoughVariables(f"need at least {k + 1} variables, ring has {ring.nvars}")
+    check_chain_size(k, ring.nvars)
     dom = ring.domain
+    if k and dom.modulus == 1:
+        raise UnsupportedDomain("Z/1 is the zero ring: every ideal is the whole ring, so no "
+                                "step of the chain is strict")
     steps = []
     for i in range(1, k + 1):
         prior = ring.variables[:i]
@@ -350,6 +348,18 @@ def strict_chain_demo(k: int, ring: PolyRing) -> list[ChainStep]:
             raise AssertionError("evaluation witness failed to verify")
         steps.append(ChainStep(i, prior, new, cert))
     return steps
+
+
+def check_chain_size(k: int, nvars: int) -> None:
+    """Refuse a chain past WORK_LIMIT coordinate evaluations before any step.
+
+    Step i evaluates its i generators and the new variable at a point of
+    nvars coordinates.
+    """
+    coords = nvars * k * (k + 3) // 2
+    if coords > WORK_LIMIT:
+        raise TooLarge(f"a chain of {k} steps in {nvars} variables evaluates {coords} "
+                       f"coordinates, over the limit of {WORK_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -380,6 +390,10 @@ def hbt_extract_univariate(ideal: IdealPresentation) -> BasisExtraction:
         raise UnsupportedDomain("expected coefficients in a prime field")
     if not ideal.generators:
         raise ZeroIdeal("no nonzero generator to extract from")
+    bound = max(1, sum(int(h.degree()) for h in ideal.generators))
+    # the comparison's largest matrix is g's membership in the ideal, with deg g at most
+    # any generator's: refuse it before the gcd, whose divisions grow with the degrees too
+    check_matrix_size(ideal.generators[0], ideal.generators, bound)
 
     g = ideal.generators[0]
     for h in ideal.generators[1:]:
@@ -390,6 +404,5 @@ def hbt_extract_univariate(ideal: IdealPresentation) -> BasisExtraction:
     dg = int(g.degree())
     profile = tuple(i >= dg for i in range(max_deg + 1))
 
-    bound = max(1, sum(int(h.degree()) for h in ideal.generators))
     comparison = ideal_equal_bounded(IdealPresentation(ring, (g,)), ideal, bound)
     return BasisExtraction(g, profile, comparison.kind == EQUAL_WITHIN_BOUND)

@@ -1,15 +1,16 @@
 """Sparse multivariate polynomials over the exact coefficient domains.
 
 Terms live in a dict from exponent tuples to nonzero raw coefficients;
-the zero polynomial has no terms.  Coefficients are canonicalized once,
-on construction, and every operation keeps them canonical, so a stored
-zero coefficient can never be observed.  Monomials are compared in
+the zero polynomial has no terms.  Inputs are canonicalized on construction;
+every operation reduces each result coefficient once (Z -> Z/n is a ring map),
+so a stored zero coefficient can never be observed.  Monomials are compared in
 lexicographic order of the declared variables by default; graded-lex is
 available for display.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -22,6 +23,7 @@ from .errors import (
     InvalidDomain,
     NotUnivariate,
     RingMismatch,
+    TooLarge,
     UnknownVariable,
     ZeroPolynomial,
 )
@@ -29,6 +31,11 @@ from .errors import (
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
 NEG_INFINITY = float("-inf")
+# term pairs one product, power or prime check may multiply, or coordinates one
+# chain-demo may evaluate: 1-3 s just under it on a 2-vCPU host, up to ~6 s for a power over Q
+WORK_LIMIT = 1_000_000
+# decimal digits of one integer: Python's default limit for int <-> str conversion
+DIGIT_LIMIT = 4300
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,7 @@ class Polynomial:
     __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: PolyRing, terms: Mapping[tuple[int, ...], object] | None = None):
-        canon: dict[tuple[int, ...], Value] = {}
+        raw: dict[tuple[int, ...], Value] = {}
         if terms:
             dom = ring.domain
             zero = dom.zero
@@ -89,15 +96,9 @@ class Polynomial:
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != ring.nvars or any(e < 0 for e in exps):
                     raise InvalidDomain(f"bad exponent vector {exps}")
-                c = dom.canon(coeff)
-                if c != zero:
-                    acc = dom.add(canon.get(exps, zero), c)
-                    if acc == zero:
-                        canon.pop(exps, None)
-                    else:
-                        canon[exps] = acc
+                raw[exps] = raw.get(exps, zero) + dom.canon(coeff)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "terms", _reduced(ring.domain, raw))
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_):
@@ -169,24 +170,15 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        dom = self.ring.domain
-        dom_add = dom.add
-        zero = dom.zero
-        out = dict(self.terms)
-        get = out.get
-        for exps, c in other.terms.items():
-            acc = dom_add(get(exps, zero), c)
-            if acc == zero:
-                out.pop(exps, None)
-            else:
-                out[exps] = acc
-        return self._raw(out)
+        # only the smaller operand's monomials change: the larger one is copied, not reduced
+        big, small = sorted((self.terms, other.terms), key=len, reverse=True)
+        get, zero = big.get, self.ring.domain.zero
+        return self._from_raw({exps: get(exps, zero) + c for exps, c in small.items()}, big)
 
     __radd__ = __add__
 
     def __neg__(self):
-        dom = self.ring.domain
-        return self._raw({e: dom.neg(c) for e, c in self.terms.items()})
+        return self._from_raw({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -204,27 +196,35 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        dom = self.ring.domain
-        dom_add, dom_mul = dom.add, dom.mul
-        zero = dom.zero
+        if len(self.terms) * len(other.terms) > WORK_LIMIT:
+            raise TooLarge(f"a product of {len(self.terms)} by {len(other.terms)} terms exceeds "
+                           f"the limit of {WORK_LIMIT} term pairs")
+        zero = self.ring.domain.zero
         out: dict[tuple[int, ...], Value] = {}
         get = out.get
         other_items = list(other.terms.items())
         for ea, ca in self.terms.items():
             for eb, cb in other_items:
                 exps = tuple(x + y for x, y in zip(ea, eb))
-                acc = dom_add(get(exps, zero), dom_mul(ca, cb))
-                if acc == zero:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = acc
-        return self._raw(out)
+                out[exps] = get(exps, zero) + ca * cb
+        return self._from_raw(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative integer")
+        what = f"power {e} of a {len(self.terms)}-term polynomial"
+        digits = self._power_digits(e)
+        if digits > DIGIT_LIMIT:
+            raise TooLarge(f"{what} has coefficients of up to {digits} digits, over the limit "
+                           f"of {DIGIT_LIMIT}")
+        # a pair of d-digit coefficients costs about 1 + d/100 pairs of small ones (measured
+        # over Z and Q up to 4 000 digits)
+        pairs = self._power_term_pairs(e) * (1 + digits // 100)
+        if pairs > WORK_LIMIT:
+            raise TooLarge(f"{what} multiplies at least {pairs} term pairs (weighted by "
+                           f"coefficient size), over the limit of {WORK_LIMIT}")
         result = Polynomial.one(self.ring)
         base = self
         while e:
@@ -234,8 +234,55 @@ class Polynomial:
             e >>= 1
         return result
 
-    def _raw(self, terms: dict[tuple[int, ...], Value]) -> "Polynomial":
-        # terms are already canonical; skip re-reduction
+    def _power_term_pairs(self, e: int) -> int:
+        """Term pairs that __pow__'s multiplies do, at most, or a partial sum past WORK_LIMIT.
+
+        self**k has at most min(C(k+t-1, t-1), C(k*d+n, n)) terms: the
+        monomials of degree k in t terms, and those of degree <= k*d in n
+        variables.
+        """
+        t, n = len(self.terms), self.ring.nvars
+        if t == 0:
+            return 0
+        d = int(self.total_degree())
+
+        def terms(k: int) -> int:
+            return min(math.comb(k + t - 1, t - 1), math.comb(k * d + n, n))
+
+        pairs, done, k = 0, 0, 1  # the loop below holds result = self**done, base = self**k
+        while e and pairs <= WORK_LIMIT:
+            if e & 1:
+                pairs += terms(done) * terms(k)
+                done += k
+            if e > 1:
+                pairs += terms(k) ** 2
+            k *= 2
+            e >>= 1
+        return pairs
+
+    def _power_digits(self, e: int) -> int:
+        """Digits of the largest numerator or denominator in self**e, at most; 0 mod n.
+
+        Write self = F/D with D the lcm of the denominators: each coefficient
+        of F**e is at most (t * max |F_i|)**e in size, and D**e is a common
+        denominator.
+        """
+        if self.ring.domain.modulus or not self.terms:
+            return 0
+        d = math.lcm(*(c.denominator for c in self.terms.values()))
+        top = max(int(abs(c) * d) for c in self.terms.values())
+        return math.ceil(e * math.log10(max(len(self.terms) * top, d)))
+
+    def _from_raw(self, raw: dict[tuple[int, ...], Value],
+                  base: dict[tuple[int, ...], Value] | None = None) -> "Polynomial":
+        """A polynomial of this ring: raw sums and products of canonical
+        coefficients, each reduced once, over the canonical terms of base."""
+        terms = _reduced(self.ring.domain, raw)
+        if base:
+            cancelled = raw.keys() - terms.keys()
+            terms = {**base, **terms}
+            for exps in cancelled:
+                del terms[exps]
         p = Polynomial.__new__(Polynomial)
         object.__setattr__(p, "ring", self.ring)
         object.__setattr__(p, "terms", terms)
@@ -247,23 +294,9 @@ class Polynomial:
     def derivative(self, var: str) -> "Polynomial":
         """Formal partial derivative with respect to one variable."""
         i = self.ring.index_of(var)
-        dom = self.ring.domain
-        out: dict[tuple[int, ...], Value] = {}
-        zero = dom.zero
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            scaled = dom.mul(c, dom.canon(e))
-            if scaled == zero:
-                continue
-            new = exps[:i] + (e - 1,) + exps[i + 1:]
-            acc = dom.add(out.get(new, zero), scaled)
-            if acc == zero:
-                out.pop(new, None)
-            else:
-                out[new] = acc
-        return self._raw(out)
+        # lowering exponent i is one-to-one on the terms it keeps, so nothing accumulates
+        return self._from_raw({exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
+                             for exps, c in self.terms.items() if exps[i]})
 
     def evaluate(self, point: Sequence) -> RingElement:
         """Exact value at a point with coordinates in the coefficient domain.
@@ -287,13 +320,14 @@ class Polynomial:
         coords = [dom.canon(x) for x in coords]
 
         # stored coefficients are canonical by the class invariant; only coordinates need canon
+        m = dom.modulus
         total = dom.zero
         for exps, term in self.terms.items():
             for x, e in zip(coords, exps):
                 if e:
-                    term = dom.mul(term, dom.pow(x, e))
-            total = dom.add(total, term)
-        return RingElement.trusted(dom, total)
+                    term *= pow(x, e, m)
+            total += term
+        return RingElement.trusted(dom, total % m if m else total)
 
     # -- identity -------------------------------------------------------------
 
@@ -314,6 +348,15 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<{self.ring}: {format_polynomial(self)}>"
+
+
+def _reduced(dom: Domain, raw: dict[tuple[int, ...], Value]) -> dict[tuple[int, ...], Value]:
+    """The nonzero terms of raw, reduced once: over Z and Q sums and products
+    of canonical values are canonical already, mod n they need their residue."""
+    m = dom.modulus
+    if m:
+        return {e: r for e, c in raw.items() if (r := c % m)}
+    return {e: c for e, c in raw.items() if c}
 
 
 def format_polynomial(f: Polynomial, order: MonomialOrder = DEFAULT_ORDER) -> str:

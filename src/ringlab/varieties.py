@@ -11,10 +11,11 @@ and the irreducible sets are the singletons.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .domains import Fp, is_prime
-from .errors import InvalidDomain, RingMismatch, UnsupportedDomain
+from .errors import InvalidDomain, RingMismatch, TooLarge, UnsupportedDomain
 from .linalg import nullspace_mod_p
 from .polyideals import (
     IdealPresentation,
@@ -24,7 +25,7 @@ from .polyideals import (
     common_zeros,
     solve_in_span,
 )
-from .polynomials import Polynomial, PolyRing
+from .polynomials import WORK_LIMIT, Polynomial, PolyRing
 
 _DEFAULT_NAMES = ("x", "y", "z")
 
@@ -153,20 +154,20 @@ def vanishing_ideal(points: PointSet, variables: tuple[str, ...] | None = None) 
     """
     p, n = points.p, points.dim
     check_scan_size(p, n)
+    # eliminating |X| rows of p^n entries, and re-checking up to p^n - |X| generators of
+    # |X| + 1 terms at the |X| points, each take at most p^n (|X| + 1)^2 steps
+    steps = p ** n * (len(points) + 1) ** 2
+    if steps > WORK_LIMIT:
+        raise TooLarge(f"the vanishing ideal of {len(points)} points in F_{p}^{n} takes up to "
+                       f"{steps} steps, over the limit of {WORK_LIMIT}")
     names = tuple(variables) if variables else default_variables(n)
     ring = PolyRing(Fp(p), names)
 
     monos = reduced_monomials(p, n)
     matrix = []
-    for pt in points:
-        row = []
-        for exps in monos:
-            v = 1
-            for c, e in zip(pt, exps):
-                if e:
-                    v = (v * pow(c, e, p)) % p
-            row.append(v)
-        matrix.append(row)
+    for pt in points:  # entries in reduced_monomials' lex order, from per-coordinate powers
+        powers = [[pow(c, e, p) for e in range(p)] for c in pt]
+        matrix.append([math.prod(vs) % p for vs in itertools.product(*powers)])
 
     basis = nullspace_mod_p(matrix, p, len(monos))
     gens = tuple(
@@ -245,6 +246,10 @@ def is_prime_vanishing_ideal(points: PointSet,
         return PrimenessReport(True)
     if len(points) == 0:
         return PrimenessReport(False)
+    pairs = (points.p ** points.dim) ** 2  # f * g: both reduced, up to p^n terms each
+    if pairs > WORK_LIMIT:
+        raise TooLarge(f"the witness check over F_{points.p}^{points.dim} multiplies {pairs} "
+                       f"term pairs, over the limit of {WORK_LIMIT}")
     anchor = points.points[0]
     f = indicator_polynomial(ring, anchor)
     g = Polynomial.one(ring) - f

@@ -263,6 +263,8 @@ def test_exit_code_two_for_domain_errors():
     assert code == 2
     code, out, err = invoke("chain-demo", "3", "--vars", "x1,x2")
     assert code == 2
+    code, out, err = invoke("chain-demo", "--field", "zn:1", "1")  # a traceback before
+    assert code == 2 and out == "" and "zero ring" in err
 
 
 def test_exit_code_three_for_resource_limits():
@@ -324,6 +326,37 @@ def test_member_past_the_matrix_cell_limit_exits_three_before_allocating():
         assert time.perf_counter() - t0 < 1.0
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and "10000000" in err and "cells" in err
+
+
+@pytest.mark.parametrize("argv, estimate", [
+    (("parse", "(x+y+1)^100000"), "47713 digits"),
+    (("parse", "--field", "fp:7", "(x+y+1)^100000"), "4942011 term pairs"),
+    (("parse", "(x+1)^2000"), "11597845 term pairs"),
+    (("parse", "7^100000000"), "84509805 digits"),
+    (("parse", "1" * 4301), "4301-digit number"),
+    (("hbt", "--field", "fp:7", "x^100000-1", "x^3-1"), "cells"),
+    (("prime-check", "--field", "fp:101", "5,5", "7,7"), "104060401 term pairs"),
+    (("prime-check", "--field", "fp:10007", "5", "7"), "100140049 term pairs"),
+    (("prime-check", "--field", "fp:3001", "5", "7"), "9006001 term pairs"),
+    (("videal", "--field", "fp:997", "0,0"), "3976036 steps"),  # 24 s before
+    (("viv", "--field", "fp:101", "x-y"), "106131204 steps"),    # 12-24 s before
+    (("chain-demo", "300"), "13680450 coordinates"),
+    (("chain-demo", "1000000000000"), "coordinates"),
+])
+def test_work_past_the_limit_exits_three_before_starting(argv, estimate):
+    # each ran 10 s to well past 25 s before the estimate came first
+    t0 = time.perf_counter()
+    code, out, err = invoke(*argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and estimate in err and "limit of" in err
+
+
+def test_power_of_a_monomial_answers_at_once():
+    t0 = time.perf_counter()
+    code, out, _ = invoke("parse", "x^100000000000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and out == "x^100000000000000\n"
 
 
 def test_viv_certifies_curves_without_a_cofactor_search():

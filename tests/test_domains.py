@@ -242,3 +242,23 @@ def test_ring_element_structural_equality_and_hash():
     assert RingElement(QQ, Fraction(2, 4)) == RingElement(QQ, Fraction(1, 2))
     assert hash(Zn(6).element(8)) == hash(Zn(6).element(2))
     assert Zn(6).element(2) != Fp(5).element(2)
+
+
+@pytest.mark.parametrize("domain", [Zn(6), Fp(7), ZZ, QQ], ids=str)
+def test_ring_element_arithmetic_is_canonical(domain):
+    # raw results are canonicalized once by the constructor: compare with plain arithmetic
+    rng = random.Random(f"element {domain}")
+    m = domain.modulus
+    for _ in range(300):
+        if domain == QQ:
+            a, b = (Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(2))
+        else:
+            a, b = rng.randint(-40, 40), rng.randint(-40, 40)
+        x, y = domain.element(a), domain.element(b)
+        for got, want in ((x + y, a + b), (x - y, a - b), (x * y, a * b), (-x, -a),
+                          (x + b, a + b), (b - x, b - a), (b * x, a * b), (x ** 3, a ** 3)):
+            assert got.value == (want % m if m else want)
+            assert type(got.value) is (Fraction if domain == QQ else int)
+            assert got.is_zero == (got.value == 0)
+    assert Zn(6).element(2) * Zn(6).element(3) == Zn(6).element(0)
+    assert (Zn(6).element(2) * 3).is_zero and not Zn(6).element(5).is_zero

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringlab import polyideals
-from ringlab.domains import Fp, QQ, ZZ
+from ringlab.domains import Fp, QQ, Zn, ZZ
 from ringlab.errors import (
     InseparableCase,
     NotEnoughVariables,
@@ -17,6 +17,7 @@ from ringlab.parsing import parse_polynomial
 from ringlab.polyideals import (
     EQUAL_WITHIN_BOUND,
     IdealPresentation,
+    LEFT_NOT_IN_RIGHT,
     MEMBER,
     NON_MEMBER,
     RIGHT_NOT_IN_LEFT,
@@ -151,6 +152,21 @@ def test_ideal_inequality_with_witness():
     assert cmp.certificate.verdict == NON_MEMBER
 
 
+@pytest.mark.parametrize("left, right, kind, offending", [
+    (("x", "y"), ("y",), LEFT_NOT_IN_RIGHT, "x"),
+    (("x",), ("y",), LEFT_NOT_IN_RIGHT, "x"),       # both directions fail: left is checked first
+    (("x",), ("x^2", "y"), RIGHT_NOT_IN_LEFT, "y"),  # an unknown left verdict does not decide
+    (("x",), ("x^2",), UNKNOWN, None),
+    (("x^2", "y"), ("y", "x^2"), EQUAL_WITHIN_BOUND, None),
+])
+def test_ideal_comparison_order_of_verdicts(left, right, kind, offending):
+    def ideal(gens):
+        return IdealPresentation(RF3_2, tuple(parse_polynomial(g, RF3_2) for g in gens))
+    cmp = ideal_equal_bounded(ideal(left), ideal(right), 2)
+    assert cmp.kind == kind
+    assert cmp.offending == (offending and parse_polynomial(offending, RF3_2))
+
+
 def test_ideal_equal_to_itself_at_bound_zero():
     f = q1("x^2+3")
     ideal = IdealPresentation(RQ1, (f,))
@@ -260,8 +276,30 @@ def test_chain_demo_three_steps_f2():
         assert s.certificate.verify(Polynomial.variable(ring, s.new_variable), ideal)
 
 
+@pytest.mark.parametrize("k, nvars", [(1, 2), (3, 4), (5, 9), (12, 13)])
+def test_chain_size_estimate_counts_the_coordinates_evaluated(k, nvars, monkeypatch):
+    ring = PolyRing(Fp(3), tuple(f"x{i}" for i in range(1, nvars + 1)))
+    evaluate, coords = Polynomial.evaluate, []
+    monkeypatch.setattr(Polynomial, "evaluate",
+                        lambda f, point: coords.append(len(point)) or evaluate(f, point))
+    strict_chain_demo(k, ring)
+    total = sum(coords)
+    monkeypatch.setattr(polyideals, "WORK_LIMIT", total)
+    strict_chain_demo(k, ring)
+    monkeypatch.setattr(polyideals, "WORK_LIMIT", total - 1)
+    with pytest.raises(TooLarge, match=f"evaluates {total} coordinates"):
+        strict_chain_demo(k, ring)
+
+
 def test_chain_demo_zero_is_vacuous():
     assert strict_chain_demo(0, PolyRing(QQ, ("x1",))) == []
+
+
+def test_chain_demo_over_the_zero_ring_is_a_domain_error():
+    ring = PolyRing(Zn(1), ("x1", "x2"))
+    assert strict_chain_demo(0, ring) == []
+    with pytest.raises(UnsupportedDomain, match="zero ring"):
+        strict_chain_demo(1, ring)
 
 
 def test_chain_demo_needs_variables():

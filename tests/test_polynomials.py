@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringlab.domains import Fp, QQ, RingElement, Zn, ZZ
-from ringlab.errors import DomainMismatch, NotUnivariate, RingMismatch, ZeroPolynomial
+from ringlab.errors import DomainMismatch, NotUnivariate, RingMismatch, TooLarge, ZeroPolynomial
 from ringlab.parsing import parse_polynomial
 from ringlab.polynomials import (
     MonomialOrder,
@@ -132,6 +133,45 @@ def test_no_zero_terms_survive_any_operation():
     g = parse_polynomial("x + 1", RF2_1)
     for result in (f + g, f * g, f - f, f.derivative("x"), f ** 2):
         assert all(c != 0 for c in result.terms.values())
+
+
+@pytest.mark.parametrize("text, ring", [
+    ("x + 1", RQ1), ("x + y + 1", RQ2), ("x*y + 2*x + 3*y^2 + 1", RQ2), ("x^3 + y", RF2),
+    ("x", RQ1), ("7", RQ2), ("0", RQ2), ("x + y + z", PolyRing(Fp(2), ("x", "y", "z")))])
+def test_power_term_pair_estimate_bounds_the_multiplies_done(text, ring, monkeypatch):
+    f = parse_polynomial(text, ring)
+    mul, pairs = Polynomial.__mul__, []
+    monkeypatch.setattr(Polynomial, "__mul__",
+                        lambda a, b: pairs.append(len(a.terms) * len(b.terms)) or mul(a, b))
+    for e in range(16):
+        pairs.clear()
+        f ** e
+        assert sum(pairs) <= f._power_term_pairs(e)
+        if text == "x + 1":  # every power of x + 1 is dense, so the bound is exact
+            assert sum(pairs) == f._power_term_pairs(e)
+
+
+@pytest.mark.parametrize("text, ring, e, message", [
+    ("x + y + 1", RF2, 95, "at least 1495584 term pairs"),
+    ("x + y + 1", RQ2, 95, "at least 1495584 term pairs"),
+    ("x + y + 1", RF2, 10 ** 15, "term pairs"),
+    ("x + 1", RQ1, 1000, "at least 1662664 term pairs (weighted"),  # 415 666 pairs, 302 digits
+    ("x + y + 1", RQ2, 100000, "up to 47713 digits"),
+    ("2", RQ1, 20000, "up to 6021 digits"),
+    ("x - 631/8530", RQ1, 2000, "digits"),
+])
+def test_power_past_a_limit_raises_before_multiplying(text, ring, e, message, monkeypatch):
+    f = parse_polynomial(text, ring)
+    monkeypatch.setattr(Polynomial, "__mul__", None)  # any multiply would fail
+    with pytest.raises(TooLarge, match=re.escape(message)):
+        f ** e
+
+
+def test_powers_under_the_limits_answer():
+    assert (parse_polynomial("x + 1", PolyRing(Fp(32003), ("x",))) ** 1000).terms[(500,)]
+    assert len((parse_polynomial("x + 1", RQ1) ** 900).terms) == 901
+    assert parse_polynomial("x", RQ1) ** 10 ** 14 == Polynomial(RQ1, {(10 ** 14,): 1})
+    assert parse_polynomial("10", RQ1) ** 4300 == Polynomial.constant(RQ1, 10 ** 4300)
 
 
 def test_monomials_up_to():
@@ -371,3 +411,105 @@ def test_evaluate_rejects_foreign_coordinates_and_wrong_arity():
             f.evaluate(point)
     with pytest.raises(DomainMismatch):
         Polynomial(PolyRing(QQ, ("x",)), {(1,): 1}).evaluate((ZZ.element(1),))
+
+
+# -- reduce once: every operation against plain dict arithmetic ----------------
+
+REDUCE_ONCE_DOMAINS = [Zn(12), Zn(1), Fp(7), ZZ, QQ]
+
+
+def _oracle(dom, raw):
+    # plain sums and products reduced at the end: the residue map Z -> Z/n is a ring map
+    out = {}
+    for exps, c in raw.items():
+        c = c % dom.modulus if dom.modulus else c
+        if c != 0:
+            out[exps] = c
+    return out
+
+
+def _oracle_add(f, g, sign=1):
+    out = dict(f)
+    for exps, c in g.items():
+        out[exps] = out.get(exps, 0) + sign * c
+    return out
+
+
+def _oracle_mul(f, g):
+    out = {}
+    for ea, ca in f.items():
+        for eb, cb in g.items():
+            exps = tuple(a + b for a, b in zip(ea, eb))
+            out[exps] = out.get(exps, 0) + ca * cb
+    return out
+
+
+def _oracle_derivative(f, i):
+    out = {}
+    for exps, c in f.items():
+        if exps[i]:
+            lower = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+            out[lower] = out.get(lower, 0) + exps[i] * c
+    return out
+
+
+def _assert_canonical(poly):
+    dom = poly.ring.domain
+    for c in poly.terms.values():
+        assert c != 0
+        if dom == QQ:
+            assert type(c) is Fraction
+        else:
+            assert type(c) is int
+            if dom.modulus:
+                assert 0 <= c < dom.modulus
+
+
+@pytest.mark.parametrize("dom", REDUCE_ONCE_DOMAINS, ids=str)
+def test_every_operation_matches_plain_dict_arithmetic_reduced_once(dom):
+    rng = random.Random(f"reduce once {dom}")
+    for _ in range(150):
+        nvars = rng.randint(1, 3)
+        ring = PolyRing(dom, ("x", "y", "z")[:nvars])
+        # non-canonical input: coefficients negative and >= the modulus
+        f_raw, g_raw = (_random_terms(rng, nvars, dom == QQ) for _ in range(2))
+        f, g = Polynomial(ring, f_raw), Polynomial(ring, g_raw)
+        e = rng.randint(0, 4)
+        var = rng.randrange(nvars)
+        power = {(0,) * nvars: 1}
+        for _ in range(e):
+            power = _oracle_mul(power, f_raw)
+        cases = [
+            (f, f_raw),
+            (f + g, _oracle_add(f_raw, g_raw)),
+            (f - g, _oracle_add(f_raw, g_raw, -1)),
+            (f - f, {}),
+            (-f, {exps: -c for exps, c in f_raw.items()}),
+            (f * g, _oracle_mul(f_raw, g_raw)),
+            (f ** e, power),
+            (f.derivative(ring.variables[var]), _oracle_derivative(f_raw, var)),
+        ]
+        for got, raw in cases:
+            _assert_canonical(got)
+            assert got.terms == _oracle(dom, raw)
+
+
+def test_constructor_sums_duplicate_monomials_once():
+    ring = PolyRing(Zn(6), ("x",))
+    f = Polynomial(ring, {(1,): 4, ("1",): 2, (0,): 13, ("0",): -6})  # keys meet after int()
+    assert f.terms == {(0,): 1}
+    _assert_canonical(f)
+
+
+def test_zero_divisors_characteristic_p_and_cancellation():
+    z6 = PolyRing(Zn(6), ("x",))
+    two_x, three_x = Polynomial(z6, {(1,): 2}), Polynomial(z6, {(1,): 3})
+    assert (two_x * three_x).is_zero  # 6x^2 = 0 over Z/6
+    assert (two_x * Polynomial(z6, {(1,): 4, (0,): 3})).terms == {(2,): 2}
+    f7 = PolyRing(Fp(7), ("x", "y"))
+    assert Polynomial(f7, {(7, 0): 1}).derivative("x").is_zero  # d/dx x^7 = 7x^6 = 0
+    assert Polynomial(f7, {(7, 1): 3, (2, 0): 1}).derivative("x").terms == {(1, 0): 2}
+    for ring in (z6, f7, RQ2, PolyRing(ZZ, ("x",)), PolyRing(Zn(1), ("x",))):
+        f = Polynomial(ring, {(1,) + (0,) * (ring.nvars - 1): 5, (0,) * ring.nvars: -2})
+        assert (f - f).terms == {} and (f + (-f)).terms == {}
+        assert Polynomial(ring, {(0,) * ring.nvars: ring.domain.modulus or 0}).is_zero

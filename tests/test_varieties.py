@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from ringlab import varieties
 from ringlab.domains import Fp, QQ
 from ringlab.errors import InvalidDomain, TooLarge, UnsupportedDomain
 from ringlab.parsing import parse_polynomial
@@ -401,3 +402,28 @@ def test_point_set_validation():
     with pytest.raises(InvalidDomain):
         PointSet(3, 2, ((1,),))  # wrong dimension
     assert PointSet(3, 1, ((5,), (2,), (2,))).points == ((2,),)  # canonical
+
+
+@pytest.mark.parametrize("p, points", [(2, [(0, 0), (1, 1)]), (3, [(1, 2), (0, 0), (2, 2)]),
+                                       (5, [(0,), (3,)]), (3, [(0, 0, 0), (1, 2, 0)])])
+def test_prime_check_estimate_bounds_its_largest_product(p, points, monkeypatch):
+    mul, pairs = Polynomial.__mul__, []
+    monkeypatch.setattr(Polynomial, "__mul__",
+                        lambda a, b: pairs.append(len(a.terms) * len(b.terms)) or mul(a, b))
+    dim = len(points[0])
+    is_prime_vanishing_ideal(PointSet(p, dim, tuple(points)))
+    assert max(pairs) <= (p ** dim) ** 2
+    monkeypatch.setattr(varieties, "WORK_LIMIT", (p ** dim) ** 2 - 1)
+    with pytest.raises(TooLarge, match=f"multiplies {(p ** dim) ** 2} term pairs"):
+        is_prime_vanishing_ideal(PointSet(p, dim, tuple(points)))
+
+
+def test_vanishing_ideal_past_the_work_limit_raises_before_the_solve(monkeypatch):
+    X = PointSet(5, 2, ((0, 0), (1, 2)))
+    steps = 5 ** 2 * (2 + 1) ** 2
+    monkeypatch.setattr(varieties, "WORK_LIMIT", steps)
+    assert len(vanishing_ideal(X).generators) == 23
+    monkeypatch.setattr(varieties, "WORK_LIMIT", steps - 1)
+    monkeypatch.setattr(varieties, "nullspace_mod_p", None)  # the solve must not start
+    with pytest.raises(TooLarge, match=f"takes up to {steps} steps"):
+        vanishing_ideal(X)
