@@ -16,9 +16,13 @@ space of ``ringlab.cli`` (fields from q and z to huge primes, composites and
 
 ``tests/test_cli_fuzz.py`` runs a fixed seed and example count in tier-1.
 Long runs print each violation and each command slower than ``--slow``
-seconds, and exit 1 if any violation was found:
+seconds, and exit 1 if any violation was found.  Hypothesis's draws can
+depend on more than the seed (a slow command changes them), so ``--save``
+writes the argv lists a run drew to a JSON file and ``--replay`` runs such
+a file again in the same order:
 
-    python scripts/fuzz_cli.py --examples 3000 --seed 1 --deadline 20
+    python scripts/fuzz_cli.py --examples 3000 --seed 1 --deadline 20 --save run.json
+    python scripts/fuzz_cli.py --replay run.json
 """
 
 from __future__ import annotations
@@ -276,6 +280,9 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--deadline", type=float, default=20.0, help="seconds per command")
     parser.add_argument("--slow", type=float, default=5.0, help="report commands slower than this")
+    parser.add_argument("--save", type=Path, help="write the argv lists run, as a JSON list")
+    parser.add_argument("--replay", type=Path,
+                        help="run the argv lists of a --save file instead of drawing new ones")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
@@ -284,12 +291,7 @@ def main() -> int:
 
     runner, found, ran = Worker(args.deadline), [], []
 
-    @seed(args.seed)
-    @settings(max_examples=args.examples, database=None, deadline=None,
-              phases=[p for p in settings.default.phases if p.name != "shrink"],
-              suppress_health_check=list(HealthCheck))
-    @given(argvs())
-    def explore(argv):
+    def check(argv):
         ran.append(argv)
         result = runner.run(argv)
         problem = violation(argv, result)
@@ -299,11 +301,26 @@ def main() -> int:
         elif result["seconds"] > args.slow:
             print(f"slow {result['seconds']:.1f} s: {json.dumps(argv)}", flush=True)
 
+    @seed(args.seed)
+    @settings(max_examples=args.examples, database=None, deadline=None,
+              phases=[p for p in settings.default.phases if p.name != "shrink"],
+              suppress_health_check=list(HealthCheck))
+    @given(argvs())
+    def explore(argv):
+        check(argv)
+
     try:
-        explore()
+        if args.replay:
+            for argv in json.loads(args.replay.read_text()):
+                check(argv)
+        else:
+            explore()
     finally:
         runner.close()
-    print(f"{len(found)} violations in {len(ran)} examples (seed {args.seed})")
+        if args.save:  # also after an interrupt, so the argv lists that ran can be replayed
+            args.save.write_text("[\n" + ",\n".join(map(json.dumps, ran)) + "\n]\n")
+    source = f"replay of {args.replay}" if args.replay else f"seed {args.seed}"
+    print(f"{len(found)} violations in {len(ran)} examples ({source})")
     return 1 if found else 0
 
 

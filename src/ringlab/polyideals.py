@@ -14,10 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .domains import Domain, QQ, RingElement
+from .domains import QQ, RingElement
 from .errors import (
     InseparableCase,
     NotEnoughVariables,
@@ -127,7 +126,8 @@ def membership_bounded(f: Polynomial, ideal: IdealPresentation, bound: int) -> M
             raise AssertionError("solved cofactors failed to verify")
         return cert
 
-    witness = next((pt for pt in common_zeros(ideal) if not f.evaluate(pt).is_zero), None)
+    value = f.evaluator()
+    witness = next((pt for pt in common_zeros(ideal) if value(tuple(c.value for c in pt))), None)
     if witness is not None:
         cert = MembershipCertificate(NON_MEMBER, bound, witness=witness)
         if not cert.verify(f, ideal):
@@ -181,18 +181,19 @@ def common_zeros(ideal: IdealPresentation) -> Iterator[tuple[RingElement, ...]]:
     """The points of the scan where every generator vanishes, in scan order.
 
     The scan is all of F_p^n (under the scan limit), or the integer grid over Q.
+    It runs on raw ints and stops at the first generator that is nonzero, so
+    each of the p (or 11) values is wrapped once per scan, not once per hit.
     """
-    dom = ideal.ring.domain
-    for point in _scan_points(dom, ideal.ring.nvars):
-        if all(g.evaluate(point).is_zero for g in ideal.generators):
-            yield tuple(dom.element(x) for x in point)
-
-
-def _scan_points(dom: Domain, nvars: int) -> Iterable[tuple]:
-    span = range(-RATIONAL_GRID_SPAN, RATIONAL_GRID_SPAN + 1)
-    values = [Fraction(v) for v in span] if dom == QQ else range(dom.modulus)
-    check_scan_size(len(values), nvars)
-    return itertools.product(values, repeat=nvars)
+    dom, n = ideal.ring.domain, ideal.ring.nvars
+    grid = range(-RATIONAL_GRID_SPAN, RATIONAL_GRID_SPAN + 1)
+    values = grid if dom == QQ else range(dom.modulus)
+    check_scan_size(len(values), n)
+    points: Iterator[tuple[int, ...]] = itertools.product(values, repeat=n)
+    for g in ideal.generators:
+        points = itertools.filterfalse(g.evaluator(), points)
+    wrap = {v: dom.element(v) for v in values}.__getitem__
+    for point in points:
+        yield tuple(map(wrap, point))
 
 
 EQUAL_WITHIN_BOUND = "equal_within_bound"

@@ -6,6 +6,13 @@ every operation reduces each result coefficient once (Z -> Z/n is a ring map),
 so a stored zero coefficient can never be observed.  Monomials are compared in
 lexicographic order of the declared variables by default; graded-lex is
 available for display.
+
+Every point evaluation runs one kernel: ``Polynomial.evaluator()``, a closure
+built once per polynomial from its int terms, which maps a tuple of raw
+canonical coordinates to a value that is zero exactly where the polynomial
+vanishes (an int at integer coordinates, over Q too).  ``evaluate`` is that
+kernel behind the entry checks: arity, coordinate domains and one ``canon``
+per coordinate.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .domains import Domain, QQ, RingElement, Value, ZZ
 from .errors import (
@@ -31,8 +38,9 @@ from .errors import (
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
 NEG_INFINITY = float("-inf")
-# term pairs one product, power or prime check may multiply, or coordinates one
-# chain-demo may evaluate: 1-3 s just under it on a 2-vCPU host, up to ~6 s for a power over Q
+# term pairs one product or power may multiply, witness terms one prime check may build
+# and evaluate, or coordinates one chain-demo may evaluate: 1-3 s just under it
+# on a 2-vCPU host, up to ~6 s for a power over Q
 WORK_LIMIT = 1_000_000
 # decimal digits of one integer: Python's default limit for int <-> str conversion
 DIGIT_LIMIT = 4300
@@ -85,7 +93,7 @@ DEFAULT_ORDER = MonomialOrder.LEX
 class Polynomial:
     """Immutable sparse polynomial; supports +, -, *, ** and evaluation."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_evaluator")
 
     def __init__(self, ring: PolyRing, terms: Mapping[tuple[int, ...], object] | None = None):
         raw: dict[tuple[int, ...], Value] = {}
@@ -100,6 +108,7 @@ class Polynomial:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", _reduced(ring.domain, raw))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_evaluator", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -287,6 +296,7 @@ class Polynomial:
         object.__setattr__(p, "ring", self.ring)
         object.__setattr__(p, "terms", terms)
         object.__setattr__(p, "_hash", None)
+        object.__setattr__(p, "_evaluator", None)
         return p
 
     # -- calculus and evaluation ----------------------------------------------
@@ -317,17 +327,53 @@ class Polynomial:
                 coords.append(x)
         if dom == ZZ and any(isinstance(x, Fraction) and x.denominator != 1 for x in coords):
             dom = QQ
-        coords = [dom.canon(x) for x in coords]
+        kernel, den = self._evaluator or self._build_evaluator()
+        value = kernel(tuple(dom.canon(x) for x in coords))
+        return RingElement.trusted(dom, Fraction(value, den) if dom == QQ else value)
 
-        # stored coefficients are canonical by the class invariant; only coordinates need canon
-        m = dom.modulus
-        total = dom.zero
-        for exps, term in self.terms.items():
-            for x, e in zip(coords, exps):
-                if e:
-                    term *= pow(x, e, m)
-            total += term
-        return RingElement.trusted(dom, total % m if m else total)
+    def evaluator(self) -> Callable[[tuple], Value]:
+        """The evaluation kernel: raw canonical coordinates -> a value that is zero
+        exactly where self vanishes.  Built on first use and cached.
+
+        Mod n it is self's residue there.  Over Z and Q it is the value of
+        D * self, an integral polynomial (D is the lcm of the coefficient
+        denominators, 1 over Z): an int at integer coordinates, a Fraction at
+        rational ones.  Nothing checks the coordinates; evaluate does.
+        """
+        return (self._evaluator or self._build_evaluator())[0]
+
+    def _build_evaluator(self) -> tuple[Callable[[tuple], Value], int]:
+        """Cache and return (kernel, D).  Terms are split by shape: the constant,
+        linear c*x_i, and products of powers; a power whose raw value would pass
+        ~32 bits is taken mod n as it is formed, the rest once at the end."""
+        m = self.ring.domain.modulus
+        over_q = self.ring.domain == QQ
+        den = math.lcm(*(c.denominator for c in self.terms.values())) if over_q else 1
+        const, linear, products = 0, [], []
+        for exps, c in self.terms.items():
+            if over_q:
+                c = c.numerator * (den // c.denominator)
+            factors = [(i, e) for i, e in enumerate(exps) if e]
+            if not factors:
+                const = c
+            elif len(factors) == 1 and factors[0][1] == 1:
+                linear.append((c, factors[0][0]))
+            else:
+                products.append((c, tuple((i, e, m if m and e * m.bit_length() > 32 else None)
+                                          for i, e in factors)))
+
+        def kernel(point: tuple) -> Value:
+            total = const
+            for c, i in linear:
+                total += c * point[i]
+            for c, factors in products:
+                for i, e, mod in factors:
+                    c *= pow(point[i], e, mod)
+                total += c
+            return total % m if m else total
+
+        object.__setattr__(self, "_evaluator", (kernel, den))
+        return kernel, den
 
     # -- identity -------------------------------------------------------------
 

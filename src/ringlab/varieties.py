@@ -56,6 +56,16 @@ class PointSet:
             cleaned.add(tuple(c % self.p for c in pt))
         object.__setattr__(self, "points", tuple(sorted(cleaned)))
 
+    @classmethod
+    def trusted(cls, p: int, dim: int, points: tuple[tuple[int, ...], ...]) -> "PointSet":
+        """A point set from points already canonical, distinct and in lex order,
+        as a scan of F_p^n yields them; nothing is checked."""
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "p", p)
+        object.__setattr__(ps, "dim", dim)
+        object.__setattr__(ps, "points", points)
+        return ps
+
     def __len__(self) -> int:
         return len(self.points)
 
@@ -87,7 +97,7 @@ def variety(ideal: IdealPresentation) -> PointSet:
     """
     p = _require_prime_field_ring(ideal.ring)
     hits = tuple(tuple(c.value for c in pt) for pt in common_zeros(ideal))
-    return PointSet(p, ideal.ring.nvars, hits)
+    return PointSet.trusted(p, ideal.ring.nvars, hits)
 
 
 @dataclass(frozen=True)
@@ -246,17 +256,23 @@ def is_prime_vanishing_ideal(points: PointSet,
         return PrimenessReport(True)
     if len(points) == 0:
         return PrimenessReport(False)
-    pairs = (points.p ** points.dim) ** 2  # f * g: both reduced, up to p^n terms each
-    if pairs > WORK_LIMIT:
-        raise TooLarge(f"the witness check over F_{points.p}^{points.dim} multiplies {pairs} "
-                       f"term pairs, over the limit of {WORK_LIMIT}")
+    # f and g are reduced, up to p^n terms each: building and printing them handles p^n
+    # terms of n coordinates, and checking them evaluates p^n terms at each point
+    size = points.p ** points.dim
+    steps = size * (points.dim + len(points))
+    if steps > WORK_LIMIT:
+        raise TooLarge(f"the witness pair over F_{points.p}^{points.dim} has up to {size} terms "
+                       f"each, built and checked at {len(points)} points in {steps} steps, over "
+                       f"the limit of {WORK_LIMIT}")
     anchor = points.points[0]
     f = indicator_polynomial(ring, anchor)
     g = Polynomial.one(ring) - f
-    product = f * g
-    if not (all(product.evaluate(pt).is_zero for pt in points)
-            and any(not f.evaluate(pt).is_zero for pt in points)
-            and any(not g.evaluate(pt).is_zero for pt in points)):
+    at_f = [f.evaluate(pt) for pt in points]
+    at_g = [g.evaluate(pt) for pt in points]
+    # evaluation is a ring homomorphism: (f*g)(pt) = f(pt) * g(pt), so f*g is never formed
+    if not (all((a * b).is_zero for a, b in zip(at_f, at_g))
+            and any(not a.is_zero for a in at_f)
+            and any(not b.is_zero for b in at_g)):
         raise AssertionError("indicator witness pair failed to verify")
     return PrimenessReport(False, (f, g))
 

@@ -12,6 +12,7 @@ import pytest
 
 from ringlab import domains
 from ringlab.cli import run, split_argv, UsageError
+from ringlab.polynomials import poly_from_json
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -335,9 +336,9 @@ def test_member_past_the_matrix_cell_limit_exits_three_before_allocating():
     (("parse", "7^100000000"), "84509805 digits"),
     (("parse", "1" * 4301), "4301-digit number"),
     (("hbt", "--field", "fp:7", "x^100000-1", "x^3-1"), "cells"),
-    (("prime-check", "--field", "fp:101", "5,5", "7,7"), "104060401 term pairs"),
-    (("prime-check", "--field", "fp:10007", "5", "7"), "100140049 term pairs"),
-    (("prime-check", "--field", "fp:3001", "5", "7"), "9006001 term pairs"),
+    (("prime-check", "--field", "fp:1009", "0,0", "1,1"), "4072324 steps"),
+    (("prime-check", "--field", "fp:10007", "5", "7"), "2362156 term pairs"),  # at the power
+    (("prime-check", "--field", "fp:3001", "5", "7"), "1684324 term pairs"),
     (("videal", "--field", "fp:997", "0,0"), "3976036 steps"),  # 24 s before
     (("viv", "--field", "fp:101", "x-y"), "106131204 steps"),    # 12-24 s before
     (("chain-demo", "300"), "13680450 coordinates"),
@@ -350,6 +351,22 @@ def test_work_past_the_limit_exits_three_before_starting(argv, estimate):
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1 and estimate in err and "limit of" in err
+
+
+def test_prime_check_verifies_the_witness_pair_without_forming_their_product():
+    # refused at 101^4 = 104060401 term pairs while f*g was formed; now f and g are
+    # evaluated at each point, and f(pt) g(pt) = 0 is the same claim
+    t0 = time.perf_counter()
+    code, out, err = invoke("prime-check", "--field", "fp:101", "5,5", "7,7")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "not prime" and lines[-1] == "f*g vanishes on X; neither factor does"
+    assert lines[1].startswith("f = x^100*y^100 + 5*x^100*y^99 + 25*x^100*y^98 + ")
+    payload = invoke_json("prime-check", "--field", "fp:101", "5,5", "7,7")
+    f, g = (poly_from_json(payload["witnesses"][k]) for k in "fg")
+    assert len(f.terms) == 100 ** 2 and g == 1 - f  # (1 - (x-5)^100)(1 - (y-5)^100)
+    assert [f.evaluate(pt).value for pt in ((5, 5), (7, 7))] == [1, 0]
 
 
 def test_power_of_a_monomial_answers_at_once():

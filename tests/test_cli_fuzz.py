@@ -1,6 +1,8 @@
 """Tier-1 run of the CLI contract fuzzer (scripts/fuzz_cli.py): a fixed seed and count."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,18 @@ def test_the_contract_check_accepts_real_member_certificates(worker):
                  ["member", "--bound", "2", "--format", "json", "x^2-1", "x-1", "0", "x+1"]):
         result = worker.run(argv)
         assert result["code"] == 0 and fuzz.violation(argv, result) is None
+
+
+def test_a_saved_run_replays_the_same_argv_lists(tmp_path, monkeypatch, capsys):
+    saved, again = tmp_path / "run.json", tmp_path / "again.json"
+    monkeypatch.setattr(sys, "argv", ["fuzz_cli.py", "--examples", "15", "--seed", "7",
+                                      "--deadline", "2", "--save", str(saved)])
+    assert fuzz.main() == 0
+    drawn = json.loads(saved.read_text())
+    assert len(drawn) == 15 and all(isinstance(argv, list) for argv in drawn)
+    monkeypatch.setattr(sys, "argv", ["fuzz_cli.py", "--replay", str(saved), "--deadline", "2",
+                                      "--save", str(again)])
+    assert fuzz.main() == 0
+    assert json.loads(again.read_text()) == drawn
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"0 violations in 15 examples (replay of {saved})")

@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +25,7 @@ from ringlab.polyideals import (
     NON_MEMBER,
     RIGHT_NOT_IN_LEFT,
     UNKNOWN,
+    common_zeros,
     divmod_univariate,
     gcd_univariate,
     hbt_extract_univariate,
@@ -387,3 +391,46 @@ def test_solve_in_span_with_no_columns(ring):
     assert solve_in_span(Polynomial.zero(ring), []) == []
     assert solve_in_span(parse_polynomial("x", ring), []) is None
     assert solve_in_span(parse_polynomial("1", ring), []) is None
+
+
+# -- the Q-grid scan against Fraction brute force ---------------------------------
+
+
+def _fraction_value(f, point):
+    # oracle: f's Fraction coefficients at Fraction coordinates, independent of the kernel
+    return sum(c * math.prod(x ** e for x, e in zip(point, exps)) for exps, c in f.terms.items())
+
+
+def _grid_ideal(rng, ring):
+    """Generators with zeros on the grid: products of shifted coordinates, plus random
+    terms over a rational denominator."""
+    names = ring.variables
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        text = "*".join(f"({rng.choice(names)} - {rng.randint(-6, 6)})"
+                        for _ in range(rng.randint(1, 3)))
+        if rng.random() < 0.4:
+            text += f" + {rng.randint(-3, 3)}/{rng.randint(1, 4)}*"
+            text += f"{rng.choice(names)}^{rng.randint(0, 3)}"
+        gens.append(parse_polynomial(text, ring))
+    return IdealPresentation(ring, tuple(gens))
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_common_zeros_over_q_match_fraction_brute_force(nvars):
+    ring = PolyRing(QQ, ("x", "y", "z")[:nvars])
+    grid = [Fraction(v) for v in range(-5, 6)]
+    rng = random.Random(f"Q grid {nvars}")
+    for _ in range(40 if nvars < 3 else 12):
+        ideal = _grid_ideal(rng, ring)
+        expected = [pt for pt in itertools.product(grid, repeat=nvars)
+                    if all(_fraction_value(g, pt) == 0 for g in ideal.generators)]
+        got = list(common_zeros(ideal))
+        assert [tuple(c.value for c in pt) for pt in got] == expected
+        assert all(c.domain == QQ and type(c.value) is Fraction for pt in got for c in pt)
+        f = parse_polynomial(f"{rng.choice(ring.variables)} - {rng.randint(-5, 5)}", ring)
+        cert = membership_bounded(f, ideal, 0)
+        if cert.verdict != MEMBER:  # the witness is the first common zero where f is nonzero
+            first = next((pt for pt in expected if _fraction_value(f, pt) != 0), None)
+            assert cert.verdict == (UNKNOWN if first is None else NON_MEMBER)
+            assert cert.witness is None or tuple(c.value for c in cert.witness) == first

@@ -396,6 +396,99 @@ def test_evaluate_integer_polynomial_at_fractions_lands_in_q():
             assert value.value == _plain_value(terms, point, None)
 
 
+# -- the evaluation kernel against a plain-dict oracle ---------------------------
+
+KERNEL_DOMAINS = [Fp(2), Fp(7), Fp(997), Zn(12), Zn(1), Zn(10 ** 20), ZZ, QQ]
+
+
+def _kernel_case(rng, dom):
+    """Random terms (exponents past p included) and a point of raw coordinates."""
+    nvars = rng.randint(1, 3)
+    top = 2 * dom.modulus if dom.kind == "Fp" and dom.modulus < 100 else 12
+    terms = {}
+    for _ in range(rng.randint(0, 7)):
+        exps = tuple(rng.choice((0, 1, rng.randint(0, top))) for _ in range(nvars))
+        c = rng.randint(-10 ** 6, 10 ** 6)
+        terms[exps] = Fraction(c, rng.randint(1, 12)) if dom == QQ else c
+    if dom == QQ:
+        point = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 7))) for _ in range(nvars))
+    else:
+        point = tuple(rng.randint(-50, 10 ** 6) for _ in range(nvars))
+    return PolyRing(dom, ("x", "y", "z")[:nvars]), terms, point
+
+
+@pytest.mark.parametrize("dom", KERNEL_DOMAINS, ids=str)
+def test_evaluator_and_evaluate_match_a_plain_dict_oracle(dom):
+    rng = random.Random(f"kernel {dom}")
+    for _ in range(300):
+        ring, terms, point = _kernel_case(rng, dom)
+        f = Polynomial(ring, terms)
+        expected = _plain_value(terms, point, dom.modulus)
+        raw = tuple(dom.canon(x) for x in point)
+        value = f.evaluator()(raw)
+        if dom == QQ:  # the kernel evaluates D*f, D the lcm of f's denominators
+            den = math.lcm(*(c.denominator for c in f.terms.values()))
+            assert value == den * expected
+        else:
+            assert value == expected and type(value) is int
+        assert (value == 0) == (expected == 0)
+        element = f.evaluate(point)
+        assert element.domain == dom and element.value == expected
+        assert type(element.value) is type(dom.zero)
+
+
+def test_evaluator_over_q_at_integer_points_stays_on_ints():
+    rng = random.Random("kernel Q ints")
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    for _ in range(200):
+        terms = _random_terms(rng, 3, True)
+        f = Polynomial(ring, terms)
+        point = tuple(rng.randint(-5, 5) for _ in range(3))
+        value = f.evaluator()(point)
+        den = math.lcm(*(c.denominator for c in f.terms.values()))
+        assert type(value) is int and value == den * _plain_value(terms, point, None)
+
+
+def test_evaluator_of_an_integer_polynomial_at_rational_coordinates():
+    rng = random.Random("kernel Z at Q")
+    ring = PolyRing(ZZ, ("x", "y"))
+    for _ in range(100):
+        terms = _random_terms(rng, 2, False)
+        f = Polynomial(ring, terms)
+        point = (rng.randint(-9, 9) + Fraction(1, rng.randint(2, 5)), Fraction(rng.randint(-9, 9)))
+        expected = _plain_value(terms, point, None)
+        assert f.evaluator()(point) == expected
+        value = f.evaluate(point)
+        assert value.domain == QQ and type(value.value) is Fraction and value.value == expected
+
+
+def test_evaluator_with_exponents_past_p():
+    ring = PolyRing(Fp(997), ("x", "y"))
+    f = parse_polynomial("x^996*y^996-1", ring)
+    kernel = f.evaluator()
+    rng = random.Random("x^996*y^996-1")
+    for x, y in [(0, 0), (0, 5), (1, 1), (996, 996)] + [(rng.randrange(997), rng.randrange(997))
+                                                        for _ in range(200)]:
+        expected = (x ** 996 * y ** 996 - 1) % 997
+        assert kernel((x, y)) == expected == f.evaluate((x, y)).value
+        assert (expected == 0) == (x != 0 and y != 0)  # Fermat
+
+
+def test_evaluator_is_cached_and_leaves_equality_and_hash_alone():
+    f = q("x^2*y - 3/2*x + 7")
+    g = q("x^2*y - 3/2*x + 7")
+    h = hash(f)
+    kernel = f.evaluator()
+    assert f.evaluator() is kernel
+    assert f.evaluate((1, 2)).value == Fraction(15, 2)
+    assert f.evaluator() is kernel
+    assert f == g and hash(f) == h == hash(g)
+    assert g.evaluator() is not kernel and g.evaluator()((1, 2)) == kernel((1, 2)) == 15
+    assert (f + Polynomial.zero(RQ2)).evaluator() is not kernel  # results start uncached
+    with pytest.raises(AttributeError):
+        f._evaluator = None
+
+
 def test_evaluate_rejects_foreign_coordinates_and_wrong_arity():
     ring = PolyRing(Fp(7), ("x", "y"))
     f = Polynomial(ring, {(2, 0): 1, (0, 1): 3})

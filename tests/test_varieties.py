@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -321,6 +322,28 @@ def test_common_zeros_over_q_scan_the_integer_grid_in_order():
     assert got == [(-2, 0), (-2, 1), (2, 0), (2, 1)]
 
 
+@pytest.mark.parametrize("p, n", [(2, 3), (5, 2), (7, 2), (3, 3), (11, 1)])
+def test_variety_builds_the_point_set_the_validating_constructor_builds(p, n):
+    # scan output is canonical, distinct and in lex order, so PointSet.trusted may skip
+    # the checks; compare with PointSet(...) on the same points and on a shuffled copy
+    ring = PolyRing(Fp(p), ("x", "y", "z")[:n])
+    rng = random.Random(f"trusted {p} {n}")
+    space = list(itertools.product(range(p), repeat=n))
+    for _ in range(20):
+        gens = tuple(Polynomial(ring, {tuple(rng.randrange(2 * p) for _ in range(n)):
+                                       rng.randrange(p) for _ in range(rng.randint(1, 4))})
+                     for _ in range(rng.randint(0, 2)))
+        X = variety(IdealPresentation(ring, gens))
+        expected = [pt for pt in space
+                    if all(sum(c * math.prod(x ** e for x, e in zip(pt, exps))
+                               for exps, c in g.terms.items()) % p == 0 for g in gens)]
+        assert X == PointSet(p, n, tuple(expected))
+        shuffled = [tuple(c + p * rng.randint(-1, 1) for c in pt) for pt in expected * 2]
+        rng.shuffle(shuffled)
+        assert X == PointSet(p, n, tuple(shuffled)) == PointSet.trusted(p, n, tuple(expected))
+        assert type(X.points) is tuple and all(type(pt) is tuple for pt in X.points)
+
+
 def test_antitonicity_on_points_f2():
     subsets = list(all_subsets(2, 2))
     ideals = {X.points: vanishing_ideal(X) for X in subsets}
@@ -407,14 +430,22 @@ def test_point_set_validation():
 @pytest.mark.parametrize("p, points", [(2, [(0, 0), (1, 1)]), (3, [(1, 2), (0, 0), (2, 2)]),
                                        (5, [(0,), (3,)]), (3, [(0, 0, 0), (1, 2, 0)])])
 def test_prime_check_estimate_bounds_its_largest_product(p, points, monkeypatch):
-    mul, pairs = Polynomial.__mul__, []
-    monkeypatch.setattr(Polynomial, "__mul__",
-                        lambda a, b: pairs.append(len(a.terms) * len(b.terms)) or mul(a, b))
+    # f*g is never formed: f and g, up to p^n terms of n coordinates each, are built and
+    # evaluated at the points, so the estimate is p^n (n + |X|)
+    mul, pairs, operands = Polynomial.__mul__, [], []
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: operands.append({a, b})
+                        or pairs.append(len(a.terms) * len(b.terms)) or mul(a, b))
+    evaluate, evaluated = Polynomial.evaluate, {}
+    monkeypatch.setattr(Polynomial, "evaluate", lambda f, pt: evaluated.update(
+        {f: evaluated.get(f, 0) + len(f.terms)}) or evaluate(f, pt))
     dim = len(points[0])
-    is_prime_vanishing_ideal(PointSet(p, dim, tuple(points)))
+    f, g = is_prime_vanishing_ideal(PointSet(p, dim, tuple(points))).witnesses
     assert max(pairs) <= (p ** dim) ** 2
-    monkeypatch.setattr(varieties, "WORK_LIMIT", (p ** dim) ** 2 - 1)
-    with pytest.raises(TooLarge, match=f"multiplies {(p ** dim) ** 2} term pairs"):
+    assert {f, g} not in operands
+    estimate = p ** dim * (dim + len(points))
+    assert set(evaluated) == {f, g} and max(evaluated.values()) <= p ** dim * len(points)
+    monkeypatch.setattr(varieties, "WORK_LIMIT", estimate - 1)
+    with pytest.raises(TooLarge, match=f"at {len(points)} points in {estimate} steps"):
         is_prime_vanishing_ideal(PointSet(p, dim, tuple(points)))
 
 
