@@ -7,16 +7,21 @@ bound.  A Member certificate carries the cofactors and re-verifies by
 plain polynomial arithmetic; a NonMember certificate carries a point
 where all generators vanish but f does not; Unknown is the honest third
 verdict when the search space is exhausted.
+
+In one variable the ring is a principal ideal domain: ``hbt`` collapses an
+ideal to the gcd of its generators and ``radical`` is f / gcd(f, f').  Both run
+one in-place division loop with monic remainders and a running WORK_LIMIT count.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .domains import QQ, RingElement
+from .domains import QQ, Domain, RingElement, Value
 from .errors import (
     InseparableCase,
     NotEnoughVariables,
@@ -165,6 +170,10 @@ def solve_in_span(target: Polynomial, columns: Sequence[Polynomial]) -> list | N
     for poly in (target, *columns):
         for exps in poly.terms:
             row_of.setdefault(exps, len(row_of))
+    cells = len(row_of) * len(columns)
+    if cells > MATRIX_CELL_LIMIT:  # viv's certificates: p^n rows by up to p^n columns
+        raise TooLarge(f"a span matrix of {cells} cells ({len(row_of)} rows, {len(columns)} "
+                       f"columns) exceeds the limit of {MATRIX_CELL_LIMIT}")
     matrix = [[0] * len(columns) for _ in row_of]  # int zeros: a cheap truth test in linalg
     for j, col in enumerate(columns):
         for exps, c in col.terms.items():
@@ -235,37 +244,89 @@ def ideal_equal_bounded(left: IdealPresentation, right: IdealPresentation,
 
 
 def divmod_univariate(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Quotient and remainder in one variable over a field."""
+    """Quotient and remainder in one variable over a field, under gcd_univariate's budget."""
+    rem, divisor = _raw_pair(f, g)
+    if not divisor:
+        raise ZeroPolynomial("division by the zero polynomial")
+    quo, _ = _divide(rem, divisor, f.ring.domain, 0)
+    return _poly(f.ring, quo), _poly(f.ring, rem)
+
+
+def gcd_univariate(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0.
+
+    Each remainder is made monic before it divides, over Q and F_p alike.  The
+    whole sequence runs on one count of WORK_LIMIT steps, kept as the work is
+    done and not estimated before it: a sequence may stay sparse (x^n + x + 1
+    by x^(n-1) + 1 leaves 1 after one step) or turn dense (the same f by x - 1
+    takes n steps), and only dividing tells which.
+    """
+    dom = f.ring.domain
+    (a, b), spent = _raw_pair(f, g), 0
+    while b:
+        b = _monic(b, dom)
+        _, spent = _divide(a, b, dom, spent)
+        a, b = b, a
+    return _poly(f.ring, _monic(a, dom) if a else a)
+
+
+def _raw_pair(f: Polynomial, g: Polynomial) -> tuple[dict[int, Value], dict[int, Value]]:
+    """f and g as {degree: value} dicts, once checked to be divisible."""
     if f.ring != g.ring:
         raise RingMismatch(f"{f.ring} vs {g.ring}")
     if f.ring.nvars != 1:
         raise UnsupportedDomain("univariate division only")
     if not f.ring.domain.is_field:
         raise UnsupportedDomain("division needs field coefficients")
-    if g.is_zero:
-        raise ZeroPolynomial("division by the zero polynomial")
-    dom = f.ring.domain
-    ring = f.ring
-    quo = Polynomial.zero(ring)
-    rem = f
-    dg = g.degree()
-    lead_inv = dom.inv(g.terms[(dg,)])
-    while not rem.is_zero and rem.degree() >= dg:
-        dr = rem.degree()
-        coeff = rem.terms[(dr,)] * lead_inv  # Polynomial.monomial reduces it
-        step = Polynomial.monomial(ring, (dr - dg,), coeff)
-        quo = quo + step
-        rem = rem - step * g
-    return quo, rem
+    return {e: c for (e,), c in f.terms.items()}, {e: c for (e,), c in g.terms.items()}
 
 
-def gcd_univariate(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
-    a, b = f, g
-    while not b.is_zero:
-        _, r = divmod_univariate(a, b)
-        a, b = b, r
-    return monic(a) if not a.is_zero else a
+def _poly(ring: PolyRing, raw: dict[int, Value]) -> Polynomial:
+    return Polynomial(ring, {(e,): c for e, c in raw.items()})
+
+
+def _monic(raw: dict[int, Value], dom: Domain) -> dict[int, Value]:
+    k, m = dom.inv(raw[max(raw)]), dom.modulus
+    return {e: c * k % m for e, c in raw.items()} if m else {e: c * k for e, c in raw.items()}
+
+
+def _divide(rem: dict[int, Value], g: dict[int, Value], dom: Domain,
+            spent: int) -> tuple[dict[int, Value], int]:
+    """Divide rem by g in place, leaving the remainder; return (quotient, spent).
+
+    Sparse classical division (Knuth, TAOCP vol. 2, 4.6.1): each step cancels
+    rem's leading term, popped off a max-heap of its degrees, and updates the
+    terms under g's other terms, each reduced once.  spent counts pops and
+    updates, an update weighted by 1 + b/32 for a b-bit quotient coefficient
+    (measured over Q up to ~24 000 bits); past WORK_LIMIT it raises TooLarge.
+    """
+    m, dg = dom.modulus, max(g)
+    inv = dom.inv(g[dg])
+    tail = [(e - dg, -c) for e, c in g.items() if e != dg]
+    heap = [-e for e in rem]
+    heapq.heapify(heap)
+    quo: dict[int, Value] = {}
+    while heap and -heap[0] >= dg:
+        d = -heapq.heappop(heap)
+        c = rem.pop(d, 0)
+        spent += 1
+        if not c:  # a stale entry: that degree cancelled after it was pushed
+            continue
+        c = quo[d - dg] = c * inv % m if m else c * inv
+        spent += len(tail) * (1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 32)
+        if spent > WORK_LIMIT:
+            raise TooLarge(f"univariate division ran {spent} steps (weighted by coefficient "
+                           f"size) without finishing, over the limit of {WORK_LIMIT}")
+        for shift, t in tail:
+            e = d + shift
+            if e not in rem:
+                heapq.heappush(heap, -e)
+            v = (rem.get(e, 0) + c * t) % m if m else rem.get(e, 0) + c * t
+            if v:
+                rem[e] = v
+            else:
+                del rem[e]
+    return quo, spent
 
 
 def monic(f: Polynomial) -> Polynomial:
@@ -391,19 +452,13 @@ def hbt_extract_univariate(ideal: IdealPresentation) -> BasisExtraction:
         raise UnsupportedDomain("expected coefficients in a prime field")
     if not ideal.generators:
         raise ZeroIdeal("no nonzero generator to extract from")
-    bound = max(1, sum(int(h.degree()) for h in ideal.generators))
-    # the comparison's largest matrix is g's membership in the ideal, with deg g at most
-    # any generator's: refuse it before the gcd, whose divisions grow with the degrees too
-    check_matrix_size(ideal.generators[0], ideal.generators, bound)
-
-    g = ideal.generators[0]
-    for h in ideal.generators[1:]:
+    g = Polynomial.zero(ring)
+    for h in ideal.generators:  # gcd(0, h) is h made monic
         g = gcd_univariate(g, h)
-    g = monic(g)
 
-    max_deg = max(int(h.degree()) for h in ideal.generators)
-    dg = int(g.degree())
-    profile = tuple(i >= dg for i in range(max_deg + 1))
-
+    bound = max(1, sum(int(h.degree()) for h in ideal.generators))
+    # its membership matrices refuse a huge degree before the profile below is built
     comparison = ideal_equal_bounded(IdealPresentation(ring, (g,)), ideal, bound)
+    dg = int(g.degree())
+    profile = tuple(i >= dg for i in range(max(int(h.degree()) for h in ideal.generators) + 1))
     return BasisExtraction(g, profile, comparison.kind == EQUAL_WITHIN_BOUND)

@@ -133,10 +133,6 @@ class Polynomial:
         exps = tuple(1 if j == i else 0 for j in range(ring.nvars))
         return cls(ring, {exps: 1})
 
-    @classmethod
-    def monomial(cls, ring: PolyRing, exps: Sequence[int], coeff=1) -> "Polynomial":
-        return cls(ring, {tuple(exps): coeff})
-
     # -- structure -----------------------------------------------------------
 
     @property

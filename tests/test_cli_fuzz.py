@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -31,6 +32,43 @@ def test_cli_contract_holds_on_fuzzed_argv(worker):
         assert problem is None, (problem, argv)
 
     check()
+
+
+def _dense(r, d):
+    return "(" + "+".join(f"({r.randint(-9, 9)})*x^{i}" for i in range(d + 1)) + ")"
+
+
+_R = random.Random(120)
+# each hung, ran for seconds to minutes or raised MemoryError before its limit: (argv, exit
+# code, seconds at most, a stderr fragment for exit 3)
+CAPPED_REPROS = [
+    (["radical", "--field", "fp:7", "x^20001+x^20000+1"], 0, 1.0, None),
+    (["radical", "--field", "fp:7", "x^40001+x^40000+1"], 0, 2.0, None),
+    (["radical", "--field", "fp:7", "x^1000000000+x+1"], 3, 2.0, "limit of"),
+    (["radical", "(x^201-7*x^100+3*x^11-2)*(2*x^3-x+5)^2"], 0, 2.0, None),
+    (["radical", _dense(_R, 120) + "*" + _dense(_R, 3) + "^2"], 0, 5.0, None),  # 284 s before
+    (["hbt", "--field", "fp:7", "x^1000000000+x+1", "x^999999999+1"], 3, 1.0,
+     "membership matrix of about 12000000000000000000 cells at bound 1999999999"),
+    (["hbt", "--field", "fp:7", "x^1000000000+x+1", "x-1"], 3, 2.0, "univariate division"),
+    (["viv", "--field", "fp:32003", "x"], 3, 5.0, "span matrix of 1024128004 cells"),
+]
+
+
+@pytest.fixture(scope="module")
+def patient_worker():
+    w = fuzz.Worker(deadline=20.0)
+    yield w
+    w.close()
+
+
+@pytest.mark.parametrize("argv, code, seconds, fragment", CAPPED_REPROS)
+def test_repros_answer_or_refuse_in_the_capped_worker(patient_worker, argv, code, seconds,
+                                                      fragment):
+    result = patient_worker.run(argv)
+    assert fuzz.violation(argv, result) is None, result["error"] or result["stderr"]
+    assert result["code"] == code and result["seconds"] < seconds, result
+    if fragment:
+        assert fragment in result["stderr"] and "limit of" in result["stderr"]
 
 
 @pytest.mark.parametrize("argv, problem", [

@@ -189,44 +189,90 @@ def test_divmod_univariate():
         divmod_univariate(q1("x"), Polynomial.zero(RQ1))
 
 
-def test_gcd_univariate_matches_coefficient_list_euclid():
-    def list_gcd(a, b, p=None):
-        # independent oracle on dense coefficient lists (low degree first)
-        from fractions import Fraction
+def _list_euclid(p):
+    """An independent oracle on dense coefficient lists (low degree first) over F_p,
+    or over Q when p is None: divmod, monic gcd and radical."""
+    def red(c):
+        return c % p if p else c
 
-        def norm(v):
-            while v and v[-1] == 0:
-                v.pop()
-            return v
+    def norm(v):
+        while v and v[-1] == 0:
+            v.pop()
+        return v
 
-        def rem(f, g):
-            f = f[:]
-            inv = (pow(g[-1], -1, p) if p else Fraction(1) / g[-1])
-            while len(f) >= len(g) and f:
-                c = f[-1] * inv
-                s = len(f) - len(g)
-                for i, gc in enumerate(g):
-                    f[s + i] = f[s + i] - c * gc
-                    if p:
-                        f[s + i] %= p
-                norm(f)
-            return f
+    def inv(c):
+        return pow(c, -1, p) if p else Fraction(1) / c
 
+    def monic(v):
+        return [red(c * inv(v[-1])) for c in v] if v else v
+
+    def divmod_(f, g):
+        f, k = norm(f[:]), inv(g[-1])
+        q = [0] * max(len(f) - len(g) + 1, 0)
+        while len(f) >= len(g):
+            c, s = red(f[-1] * k), len(f) - len(g)
+            q[s] = c
+            for i, gc in enumerate(g):
+                f[s + i] = red(f[s + i] - c * gc)
+            norm(f)
+        return norm(q), f
+
+    def gcd(a, b):
         a, b = norm(a[:]), norm(b[:])
         while b:
-            a, b = b, rem(a, b)
-        if a:
-            inv = (pow(a[-1], -1, p) if p else Fraction(1) / a[-1])
-            a = [c * inv % p if p else c * inv for c in a]
-        return a
+            a, b = b, divmod_(a, b)[1]
+        return monic(a)
 
-    pairs = [("x^2-1", "x^3-1"), ("x^2", "x^3+x"), ("x^4-1", "x^2+1"), ("3", "x")]
-    for ta, tb in pairs:
-        got = gcd_univariate(q1(ta), q1(tb))
-        la = [q1(ta).terms.get((i,), 0) for i in range(6)]
-        lb = [q1(tb).terms.get((i,), 0) for i in range(6)]
-        expected = list_gcd(la, lb)
-        assert [got.terms.get((i,), 0) for i in range(6)] == (expected + [0] * 6)[:6]
+    def radical(f):
+        df = norm([red(i * c) for i, c in enumerate(f)][1:])
+        return monic(divmod_(f, gcd(f, df))[0]) if df else None  # None: f' vanishes
+
+    return divmod_, gcd, radical
+
+
+def test_gcd_univariate_matches_coefficient_list_euclid():
+    rng = random.Random(12)
+
+    def to_list(f):
+        return [f.terms.get((i,), 0) for i in range(int(f.degree()) + 1)] if f.terms else []
+
+    for field, p in ((QQ, None), (Fp(2), 2), (Fp(7), 7), (Fp(32003), 32003)):
+        ring = PolyRing(field, ("x",))
+        divmod_, gcd, radical = _list_euclid(p)
+
+        def coeff():  # over Q non-monic, with denominators
+            if p is None:
+                return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            return rng.randrange(p)
+
+        def dense(deg):
+            return Polynomial(ring, {(i,): coeff() for i in range(deg + 1)})
+
+        pairs = []
+        if p is None:  # small hand-picked pairs
+            pairs = [(q1(ta), q1(tb)) for ta, tb in (("x^2-1", "x^3-1"), ("x^2", "x^3+x"),
+                                                       ("x^4-1", "x^2+1"), ("3", "x"))]
+        for _ in range(30):  # dense, often with a common factor
+            common = dense(rng.randint(0, 4)) if rng.random() < 0.7 else Polynomial.one(ring)
+            pairs.append((dense(rng.randint(0, 12)) * common, dense(rng.randint(0, 8)) * common))
+        for _ in range(6):  # sparse binomials of high degree
+            a, b = rng.randint(100, 400), rng.randint(2, 300)
+            pairs.append((Polynomial(ring, {(a,): 1, (0,): coeff() or 1}),
+                          Polynomial(ring, {(b,): coeff() or 1, (0,): coeff()})))
+        for f, g in pairs:
+            la, lb = to_list(f), to_list(g)
+            assert to_list(gcd_univariate(f, g)) == gcd(la, lb), (f, g)
+            if not g.is_zero:
+                quo, rem = divmod_univariate(f, g)
+                assert (to_list(quo), to_list(rem)) == divmod_(la, lb), (f, g)
+            if f.is_zero:
+                continue
+            expected = radical(la)
+            if expected is None and f.degree() >= 1:
+                with pytest.raises(InseparableCase):
+                    radical_univariate(f)
+            else:
+                assert to_list(radical_univariate(f)) == (expected or [1]), f
 
 
 def test_radical_examples():

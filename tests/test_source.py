@@ -52,6 +52,7 @@ WORKLOAD_COMMANDS = {
         ["member", "--field", "fp:5", "--bound", "1", "x^2-1", "x-1"],
         ["viv", "--field", "fp:3", "--vars", "x,y", "x^2-y"],
         ["hbt", "--field", "fp:7", "x^2-1", "x^2+x"],
+        ["radical", "--vars", "x", "(x-1)^2*(x+2)"],
         ["zideal", "prime", "91"],
         ["zideal", "gens", "12", "18"],
         ["zideal", "contains", "6", "18"],
