@@ -117,14 +117,14 @@ def membership_bounded(f: Polynomial, ideal: IdealPresentation, bound: int) -> M
     check_matrix_size(f, gens, bound)
     shifts = monomials_up_to(ring.nvars, bound)
     columns = [  # column (i, m) is m * g_i; its solved coefficient is h_i's on m
-        Polynomial(ring, {tuple(a + b for a, b in zip(exps, shift)): c
-                          for exps, c in g.terms.items()})
+        Polynomial._from_raw(ring, {tuple(a + b for a, b in zip(exps, shift)): c
+                                    for exps, c in g.terms.items()})
         for g in gens for shift in shifts
     ]
     sol = solve_in_span(f, columns)
     if sol is not None:
         k = len(shifts)
-        cofactors = tuple(Polynomial(ring, dict(zip(shifts, sol[i * k:(i + 1) * k])))
+        cofactors = tuple(Polynomial._from_raw(ring, dict(zip(shifts, sol[i * k:(i + 1) * k])))
                           for i in range(len(gens)))
         cert = MembershipCertificate(MEMBER, bound, cofactors=cofactors)
         if not cert.verify(f, ideal):
@@ -282,10 +282,12 @@ def _raw_pair(f: Polynomial, g: Polynomial) -> tuple[dict[int, Value], dict[int,
 
 
 def _poly(ring: PolyRing, raw: dict[int, Value]) -> Polynomial:
-    return Polynomial(ring, {(e,): c for e, c in raw.items()})
+    return Polynomial._from_raw(ring, {(e,): c for e, c in raw.items()})
 
 
-def _monic(raw: dict[int, Value], dom: Domain) -> dict[int, Value]:
+def _monic(raw: dict, dom: Domain) -> dict:
+    """raw times the inverse of its lead, the coefficient at max(raw): the top degree,
+    or with exponent-tuple keys the lex leading monomial."""
     k, m = dom.inv(raw[max(raw)]), dom.modulus
     return {e: c * k % m for e, c in raw.items()} if m else {e: c * k for e, c in raw.items()}
 
@@ -332,12 +334,7 @@ def _divide(rem: dict[int, Value], g: dict[int, Value], dom: Domain,
 def monic(f: Polynomial) -> Polynomial:
     if f.is_zero:
         raise ZeroPolynomial("cannot normalize the zero polynomial")
-    dom = f.ring.domain
-    lead = f.terms[f.leading_monomial()]
-    if lead == dom.one:
-        return f
-    inv = dom.inv(lead)
-    return f * Polynomial.constant(f.ring, inv)
+    return Polynomial._from_raw(f.ring, _monic(f.terms, f.ring.domain))
 
 
 def radical_univariate(f: Polynomial) -> Polynomial:
@@ -360,11 +357,11 @@ def radical_univariate(f: Polynomial) -> Polynomial:
         if f.degree() >= 1:
             raise InseparableCase(f"derivative of {f} vanishes identically")
         return Polynomial.one(f.ring)  # nonzero constant: (f) is the whole ring
-    g = gcd_univariate(f, df)
-    quo, rem = divmod_univariate(f, g)
-    if not rem.is_zero:
+    rem, g = _raw_pair(f, gcd_univariate(f, df))
+    quo, _ = _divide(rem, g, f.ring.domain, 0)
+    if rem:
         raise AssertionError("gcd(f, f') must divide f")
-    return monic(quo)
+    return _poly(f.ring, _monic(quo, f.ring.domain))
 
 
 # -- the strictly growing chain and the basis-extraction demonstrator --------

@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials over the exact coefficient domains.
 
-Terms live in a dict from exponent tuples to nonzero raw coefficients;
-the zero polynomial has no terms.  Inputs are canonicalized on construction;
-every operation reduces each result coefficient once (Z -> Z/n is a ring map),
+Terms live in a dict from exponent tuples to nonzero raw coefficients; the
+zero polynomial has no terms.  ``Polynomial(...)`` checks and canonicalizes
+outside terms; the library's own go through ``Polynomial._from_raw``, which
+reduces each coefficient once (Z -> Z/n is a ring map) and checks nothing,
 so a stored zero coefficient can never be observed.  Monomials are compared in
 lexicographic order of the declared variables by default; graded-lex is
 available for display.
@@ -105,8 +106,26 @@ class Polynomial:
                 if len(exps) != ring.nvars or any(e < 0 for e in exps):
                     raise InvalidDomain(f"bad exponent vector {exps}")
                 raw[exps] = raw.get(exps, zero) + dom.canon(coeff)
+        self._set(ring, raw)
+
+    @classmethod
+    def _from_raw(cls, ring: PolyRing, raw: dict, base: dict | None = None) -> "Polynomial":
+        """The constructor for terms the library built: exponent tuples of ring's
+        arity, raw sums and products of canonical values.  Reduces, checks nothing."""
+        p = cls.__new__(cls)
+        p._set(ring, raw, base)
+        return p
+
+    def _set(self, ring: PolyRing, raw: dict, base: dict | None = None) -> None:
+        """Fill the slots: raw's nonzero terms, each reduced once, over base's terms."""
+        terms = _reduced(ring.domain, raw)
+        if base:
+            cancelled = raw.keys() - terms.keys()
+            terms = {**base, **terms}
+            for exps in cancelled:
+                del terms[exps]
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", _reduced(ring.domain, raw))
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_evaluator", None)
 
@@ -178,12 +197,12 @@ class Polynomial:
         # only the smaller operand's monomials change: the larger one is copied, not reduced
         big, small = sorted((self.terms, other.terms), key=len, reverse=True)
         get, zero = big.get, self.ring.domain.zero
-        return self._from_raw({exps: get(exps, zero) + c for exps, c in small.items()}, big)
+        return self._from_raw(self.ring, {e: get(e, zero) + c for e, c in small.items()}, big)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._from_raw({e: -c for e, c in self.terms.items()})
+        return self._from_raw(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -212,7 +231,7 @@ class Polynomial:
             for eb, cb in other_items:
                 exps = tuple(x + y for x, y in zip(ea, eb))
                 out[exps] = get(exps, zero) + ca * cb
-        return self._from_raw(out)
+        return self._from_raw(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -278,31 +297,14 @@ class Polynomial:
         top = max(int(abs(c) * d) for c in self.terms.values())
         return math.ceil(e * math.log10(max(len(self.terms) * top, d)))
 
-    def _from_raw(self, raw: dict[tuple[int, ...], Value],
-                  base: dict[tuple[int, ...], Value] | None = None) -> "Polynomial":
-        """A polynomial of this ring: raw sums and products of canonical
-        coefficients, each reduced once, over the canonical terms of base."""
-        terms = _reduced(self.ring.domain, raw)
-        if base:
-            cancelled = raw.keys() - terms.keys()
-            terms = {**base, **terms}
-            for exps in cancelled:
-                del terms[exps]
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "ring", self.ring)
-        object.__setattr__(p, "terms", terms)
-        object.__setattr__(p, "_hash", None)
-        object.__setattr__(p, "_evaluator", None)
-        return p
-
     # -- calculus and evaluation ----------------------------------------------
 
     def derivative(self, var: str) -> "Polynomial":
         """Formal partial derivative with respect to one variable."""
         i = self.ring.index_of(var)
         # lowering exponent i is one-to-one on the terms it keeps, so nothing accumulates
-        return self._from_raw({exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
-                             for exps, c in self.terms.items() if exps[i]})
+        return self._from_raw(self.ring, {exps[:i] + (exps[i] - 1,) + exps[i + 1:]: c * exps[i]
+                                          for exps, c in self.terms.items() if exps[i]})
 
     def evaluate(self, point: Sequence) -> RingElement:
         """Exact value at a point with coordinates in the coefficient domain.

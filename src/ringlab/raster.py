@@ -109,7 +109,7 @@ def corner_signs(f: Polynomial, window: Window, cols: int, rows: int) -> Iterato
     for (ex, ey), c in f.terms.items():
         parts.setdefault(ex, {})[(0, ey)] = c
     ks = sorted(parts)
-    coeffs = [Polynomial(f.ring, parts[k]) for k in ks]
+    coeffs = [Polynomial._from_raw(f.ring, parts[k]) for k in ks]
     # h(j) = f(xmin + j*dx, y) = sum_m b_m j^m with b_m = sum_k shift[m][k] c_k(y),
     # shift[m][k] = C(k,m) xmin^(k-m) dx^m, kept as ints over one denominator
     shift = [[comb(k, m) * xmin ** (k - m) * dx ** m if k >= m else 0 for k in ks]

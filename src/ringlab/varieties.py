@@ -180,10 +180,10 @@ def vanishing_ideal(points: PointSet, variables: tuple[str, ...] | None = None) 
         matrix.append([math.prod(vs) % p for vs in itertools.product(*powers)])
 
     basis = nullspace_mod_p(matrix, p, len(monos))
-    gens = tuple(
-        Polynomial(ring, {monos[j]: c for j, c in vec.items()})
-        for vec in basis
-    )
+    if len(names) != n:  # the exponent vector the first generator would be built on
+        raise InvalidDomain(f"bad exponent vector {monos[min(basis[0]) if basis else 0]}")
+    gens = tuple(Polynomial._from_raw(ring, {monos[j]: c for j, c in vec.items()})
+                 for vec in basis)
     if len(gens) != p ** n - len(points):
         raise AssertionError("nullspace dimension must be p^n - |X|")
 
@@ -220,7 +220,7 @@ def is_irreducible(points: PointSet) -> bool:
 
 def decompose(points: PointSet) -> list[PointSet]:
     """Irreducible components: the singletons, pairwise incomparable."""
-    return [PointSet(points.p, points.dim, (pt,)) for pt in points]
+    return [PointSet.trusted(points.p, points.dim, (pt,)) for pt in points]
 
 
 @dataclass(frozen=True)
@@ -291,4 +291,4 @@ def _reduce_by_field_equations(f: Polynomial, p: int) -> tuple[Polynomial, ...]:
                 parts[i][tuple(e)] = parts[i].get(tuple(e), 0) + c
                 e[i] += 1
         parts[-1][tuple(e)] = parts[-1].get(tuple(e), 0) + c
-    return tuple(Polynomial(f.ring, t) for t in parts)
+    return tuple(Polynomial._from_raw(f.ring, t) for t in parts)

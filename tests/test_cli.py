@@ -194,6 +194,20 @@ def test_videal_viv_decompose_prime_check():
     assert payload["witnesses"] is not None
 
 
+@pytest.mark.parametrize("argv", [
+    ("videal", "--field", "fp:2", "--vars", "x,y", "0", "1"),
+    ("videal", "--field", "fp:3", "--vars", "x,y", "0", "1", "2"),
+    ("videal", "--field", "fp:2", "--vars", "x", "0,0", "0,1", "1,0", "1,1"),
+    ("videal", "--field", "fp:2", "--vars", "x,y,z", "0,0", "0,1", "1,0", "1,1"),
+])
+def test_videal_of_every_point_with_the_wrong_number_of_vars_exits_two(argv):
+    # every point of F_p^n leaves no generator to reject the --vars; this ended in an
+    # AssertionError traceback
+    code, out, err = invoke(*argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "bad exponent vector" in err
+
+
 def test_plot_documented_example_and_golden():
     code, out, _ = invoke("plot", "--window", "-2:2,-2:2", "--res", "64",
                           "y^2 - x^2*(x+1)")

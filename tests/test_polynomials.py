@@ -10,6 +10,13 @@ from hypothesis import given, settings, strategies as st
 from ringlab.domains import Fp, QQ, RingElement, Zn, ZZ
 from ringlab.errors import DomainMismatch, NotUnivariate, RingMismatch, TooLarge, ZeroPolynomial
 from ringlab.parsing import parse_polynomial
+from ringlab.polyideals import (
+    IdealPresentation,
+    gcd_univariate,
+    membership_bounded,
+    monic,
+    radical_univariate,
+)
 from ringlab.polynomials import (
     MonomialOrder,
     NEG_INFINITY,
@@ -20,6 +27,8 @@ from ringlab.polynomials import (
     poly_from_json,
     poly_to_json,
 )
+from ringlab.raster import corner_signs
+from ringlab.varieties import PointSet, _reduce_by_field_equations, vanishing_ideal
 
 RQ2 = PolyRing(QQ, ("x", "y"))
 RQ1 = PolyRing(QQ, ("x",))
@@ -133,6 +142,49 @@ def test_no_zero_terms_survive_any_operation():
     g = parse_polynomial("x + 1", RF2_1)
     for result in (f + g, f * g, f - f, f.derivative("x"), f ** 2):
         assert all(c != 0 for c in result.terms.values())
+
+
+RF7 = PolyRing(Fp(7), ("x", "y"))
+RF7_1 = PolyRing(Fp(7), ("x",))
+RF3 = PolyRing(Fp(3), ("x", "y"))
+
+# the library's own builders of Polynomials, each through Polynomial._from_raw
+TRUSTED_BUILDERS = {
+    "membership cofactors over Q": lambda: membership_bounded(
+        q("x^2*y - 1/2*y"), IdealPresentation(RQ2, (q("x*y"), q("3*y"))), 2).cofactors,
+    "membership cofactors over F_7": lambda: membership_bounded(
+        q("x^2*y + 6*y", RF7), IdealPresentation(RF7, (q("x*y", RF7), q("3*y", RF7))), 2
+    ).cofactors,
+    "vanishing_ideal generators": lambda: vanishing_ideal(
+        PointSet(3, 2, ((0, 1), (2, 2), (1, 0)))).generators,
+    "_reduce_by_field_equations parts": lambda: _reduce_by_field_equations(
+        q("x^9*y^4 + 2*x^3*y + x*y + 2*y^3", RF3), 3),
+    "gcd_univariate over Q": lambda: gcd_univariate(q("x^3 - x", RQ1), q("2*x^2 - 2", RQ1)),
+    "gcd_univariate over F_7": lambda: gcd_univariate(q("x^3 - x", RF7_1), q("3*x^2 - 3", RF7_1)),
+    "radical_univariate over Q": lambda: radical_univariate(q("(x - 1)^2*(3*x + 2)", RQ1)),
+    "radical_univariate over F_7": lambda: radical_univariate(q("3*(x - 1)^2*(x + 3)", RF7_1)),
+    "monic over Q": lambda: monic(q("3*x^2*y + 1/2*x - y^2")),
+    "monic over F_7": lambda: monic(q("3*x^2 + x + 6", RF7_1)),
+    "corner_signs split": lambda: list(corner_signs(
+        q("1/3*x^2*y + y^3 - x + 1/2"), tuple(map(Fraction, (-1, 1, -1, 2))), 4, 4)),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(TRUSTED_BUILDERS))
+def test_trusted_builders_store_only_nonzero_canonical_terms(builder, monkeypatch):
+    built, from_raw = [], Polynomial._from_raw
+    monkeypatch.setattr(Polynomial, "_from_raw",
+                        classmethod(lambda cls, *a: built.append(from_raw(*a)) or built[-1]))
+    out = TRUSTED_BUILDERS[builder]()
+    returned = [p for p in (out if isinstance(out, (tuple, list)) else [out])
+                if isinstance(p, Polynomial)]
+    assert built and (returned or builder == "corner_signs split")  # the split stays inside
+    assert all(any(p is b for b in built) for p in returned)
+    for p in built:
+        dom = p.ring.domain
+        for c in p.terms.values():
+            assert c != 0 and type(dom.canon(c)) is type(c) and dom.canon(c) == c, (p, c)
+        assert Polynomial(p.ring, p.terms) == p
 
 
 @pytest.mark.parametrize("text, ring", [

@@ -22,6 +22,20 @@ def test_no_assert_statements_in_src():
     assert not found, found
 
 
+def test_only_polynomials_calls_the_validating_constructor():
+    # Polynomial(...) checks outside terms; terms the library built go through
+    # Polynomial._from_raw, so a new internal builder cannot re-validate by accident
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "polynomials.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func).split(".")[-1] == "Polynomial"]
+    assert not found, found
+
+
 def test_benchmark_tracer_binds_every_function_it_wraps():
     # the traced benchmark rebinds ringlab functions by name; a renamed or
     # deleted one makes install() raise here instead of in a benchmark run

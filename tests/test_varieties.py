@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import time
 
 import pytest
@@ -88,6 +89,16 @@ def test_vanishing_ideal_of_full_line_is_field_equation_only():
     result = vanishing_ideal(PointSet(2, 1, ((0,), (1,))))
     assert result.generators == ()
     assert result.field_equations == (pf("x^2+x", PolyRing(Fp(2), ("x",))),)
+
+
+@pytest.mark.parametrize("points, names, named", [
+    (PointSet(2, 1, ((0,), (1,))), ("x", "y"), "(0,)"),  # no generators
+    (PointSet(5, 1, ((0,),)), ("x", "y"), "(1,)"),
+    (PointSet(5, 2, ((0, 1),)), ("x",), "(0, 0)"),
+])
+def test_vanishing_ideal_refuses_variables_of_the_wrong_length(points, names, named):
+    with pytest.raises(InvalidDomain, match=re.escape(f"bad exponent vector {named}")):
+        vanishing_ideal(points, names)
 
 
 def test_vanishing_ideal_of_origin_spans_x_y_xy():
