@@ -4,7 +4,7 @@ Runs a fixed grid of argv lists through ``ringlab.cli.run`` in-process and
 writes ``tests/data/cli_contract.json``: a list of ``[argv, digest]`` pairs,
 where the digest is the first 12 hex digits of the SHA-256 of the JSON array
 ``[code, stdout, stderr]``.  ``tests/test_cli_contract.py`` replays the
-stored argv lists and names the first whose digest differs, so any change to
+stored argv lists and names every one whose digest differs, so any change to
 an exit code, an output byte or an error message shows up in tier-1.
 
 The grid covers every command with valid, malformed and out-of-field

@@ -161,7 +161,7 @@ def solve_in_span(target: Polynomial, columns: Sequence[Polynomial]) -> list | N
 
     One exact solve over the coefficient field by linalg's sparse
     Gauss-Jordan kernel.  Rows are the target's monomials, then each
-    column's in order of first appearance.
+    column's in order of first appearance; membership_bounded checks its size first.
     """
     dom = target.ring.domain
     if target.is_zero:
@@ -170,10 +170,6 @@ def solve_in_span(target: Polynomial, columns: Sequence[Polynomial]) -> list | N
     for poly in (target, *columns):
         for exps in poly.terms:
             row_of.setdefault(exps, len(row_of))
-    cells = len(row_of) * len(columns)
-    if cells > MATRIX_CELL_LIMIT:  # viv's certificates: p^n rows by up to p^n columns
-        raise TooLarge(f"a span matrix of {cells} cells ({len(row_of)} rows, {len(columns)} "
-                       f"columns) exceeds the limit of {MATRIX_CELL_LIMIT}")
     matrix = [[0] * len(columns) for _ in row_of]  # int zeros: a cheap truth test in linalg
     for j, col in enumerate(columns):
         for exps, c in col.terms.items():

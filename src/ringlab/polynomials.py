@@ -158,9 +158,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exps: Sequence[int]) -> RingElement:
-        return self.ring.domain.element(self.terms.get(tuple(exps), 0))
-
     def total_degree(self) -> int | float:
         if not self.terms:
             return NEG_INFINITY

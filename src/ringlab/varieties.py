@@ -15,16 +15,10 @@ import math
 from dataclasses import dataclass
 
 from .domains import Fp, is_prime
-from .errors import InvalidDomain, RingMismatch, TooLarge, UnsupportedDomain
+from .errors import DomainMismatch, InvalidDomain, RingMismatch, TooLarge, UnsupportedDomain
 from .linalg import nullspace_mod_p
-from .polyideals import (
-    IdealPresentation,
-    MEMBER,
-    MembershipCertificate,
-    check_scan_size,
-    common_zeros,
-    solve_in_span,
-)
+from .polyideals import (IdealPresentation, MEMBER, MembershipCertificate, check_scan_size,
+                         common_zeros)
 from .polynomials import WORK_LIMIT, Polynomial, PolyRing
 
 _DEFAULT_NAMES = ("x", "y", "z")
@@ -123,23 +117,27 @@ class VanishingIdealResult:
     def certify(self, f: Polynomial) -> MembershipCertificate | None:
         """Cofactors of f over all_generators(), or None if f is not in I(X).
 
-        Reducing f by x_i^p -> x_i gives the field-equation cofactors q_i; one
-        span solve writes the remainder as sum c_j g_j and fails exactly when f
-        does not vanish on X, since evaluation is a bijection from reduced
-        polynomials onto functions F_p^n -> F_p.
+        Reducing f by x_i^p -> x_i gives the field-equation cofactors q_i and a
+        reduced remainder r.  As evaluation is a bijection from reduced polynomials
+        onto functions F_p^n -> F_p, f is in I(X) exactly when r is zero on X.
+        Then g_j's cofactor is r's coefficient c_j at max(g_j.terms), g_j's free
+        column in the nullspace basis: g_j holds a 1 there and no other generator
+        has that monomial.  So r - sum c_j g_j lies on the pivot monomials, whose
+        evaluation columns are independent, and vanishes on X: it is zero.
         """
         if f.ring != self.ring:
             raise RingMismatch(f"{f.ring} vs {self.ring}")
         *quotients, r = _reduce_by_field_equations(f, self.point_set.p)
-        sol = solve_in_span(r, self.generators)
-        if sol is None:
+        value = r.evaluator()
+        if any(value(pt) for pt in self.point_set):
             return None
-        cofactors = tuple(Polynomial.constant(self.ring, c) for c in sol) + tuple(quotients)
+        cofactors = tuple(Polynomial.constant(self.ring, r.terms.get(max(g.terms), 0))
+                          for g in self.generators) + tuple(quotients)
         bound = max((int(h.total_degree()) for h in cofactors if not h.is_zero), default=0)
         return MembershipCertificate(MEMBER, bound, cofactors=cofactors)
 
     def spans_function(self, f: Polynomial) -> bool:
-        """Is f in I(X)?  Exactly when certify()'s solve on f's reduced form succeeds."""
+        """Is f in I(X)?  Exactly when f's reduced form is zero on X."""
         return self.certify(f) is not None
 
 
@@ -196,14 +194,15 @@ def vanishing_ideal(points: PointSet, variables: tuple[str, ...] | None = None) 
 def viv_closure(ideal: IdealPresentation) -> VanishingIdealResult:
     """I(V(S)) for a generator set S, with each member of S re-certified.
 
-    Each generator of S vanishes on V(S), so certify() constructs its
-    cofactors; every certificate is then re-checked exactly.
+    Each generator of S vanishes on V(S), so certify() reads its cofactors
+    off the basis; every certificate is then re-checked exactly.
     """
     points = variety(ideal)
     result = vanishing_ideal(points, ideal.ring.variables)
+    target = result.ideal()
     for g in ideal.generators:
         cert = result.certify(g)
-        if cert is None or not cert.verify(g, result.ideal()):
+        if cert is None or not cert.verify(g, target):
             raise AssertionError(f"{g} failed to re-certify inside I(V(S))")
     return result
 
@@ -252,6 +251,8 @@ def is_prime_vanishing_ideal(points: PointSet,
     """
     names = tuple(variables) if variables else default_variables(points.dim)
     ring = PolyRing(Fp(points.p), names)
+    if len(names) != points.dim:
+        raise DomainMismatch(f"expected {len(names)} coordinates, got {points.dim}")
     if len(points) == 1:
         return PrimenessReport(True)
     if len(points) == 0:

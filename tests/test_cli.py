@@ -208,6 +208,17 @@ def test_videal_of_every_point_with_the_wrong_number_of_vars_exits_two(argv):
     assert len(err.splitlines()) == 1 and "bad exponent vector" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("prime-check", "--field", "fp:5", "--vars", "x,y", "0"), "expected 2 coordinates, got 1"),
+    (("prime-check", "--field", "fp:5", "--vars", "x", "0,1"), "expected 1 coordinates, got 2"),
+    (("prime-check", "--field", "fp:5", "--vars", "x", "0,1", "1,0"),
+     "expected 1 coordinates, got 2"),
+])
+def test_prime_check_with_the_wrong_number_of_vars_exits_two(argv, message):
+    # one point used to answer "prime" whatever the --vars; two or more already exited 2
+    assert invoke(*argv) == (2, "", f"domain error: {message}\n")
+
+
 def test_plot_documented_example_and_golden():
     code, out, _ = invoke("plot", "--window", "-2:2,-2:2", "--res", "64",
                           "y^2 - x^2*(x+1)")

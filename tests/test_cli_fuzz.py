@@ -50,7 +50,9 @@ CAPPED_REPROS = [
     (["hbt", "--field", "fp:7", "x^1000000000+x+1", "x^999999999+1"], 3, 1.0,
      "membership matrix of about 12000000000000000000 cells at bound 1999999999"),
     (["hbt", "--field", "fp:7", "x^1000000000+x+1", "x-1"], 3, 2.0, "univariate division"),
-    (["viv", "--field", "fp:32003", "x"], 3, 5.0, "span matrix of 1024128004 cells"),
+    # both exited 3 past a span-solve cell limit before certify read cofactors off the basis
+    (["viv", "--field", "fp:32003", "x"], 0, 5.0, None),
+    (["viv", "--field", "fp:10007", "x"], 0, 5.0, None),
 ]
 
 

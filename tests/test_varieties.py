@@ -10,7 +10,8 @@ from ringlab import varieties
 from ringlab.domains import Fp, QQ
 from ringlab.errors import InvalidDomain, TooLarge, UnsupportedDomain
 from ringlab.parsing import parse_polynomial
-from ringlab.polyideals import IdealPresentation, MEMBER, common_zeros, membership_bounded
+from ringlab.polyideals import (IdealPresentation, MEMBER, common_zeros, membership_bounded,
+                                solve_in_span)
 from ringlab.polynomials import Polynomial, PolyRing
 from ringlab.varieties import (
     PointSet,
@@ -200,6 +201,66 @@ def test_spans_function_at_one_point_of_f11_is_polynomial_time():
     assert result.spans_function(pf("x^13 - 4*x^2", ring))
     assert not result.spans_function(pf("x^12", ring))
     assert time.perf_counter() - t0 < 1.0
+
+
+def _span_cofactors(result, f):
+    """The oracle: f's field-equation quotients, with the generators' cofactors from one
+    span solve of the reduced remainder; None when the solve is inconsistent."""
+    *quotients, r = varieties._reduce_by_field_equations(f, result.point_set.p)
+    sol = solve_in_span(r, result.generators)
+    if sol is None:
+        return None
+    return tuple(Polynomial.constant(result.ring, c) for c in sol) + tuple(quotients)
+
+
+def _certify_point_sets():
+    yield from all_subsets(2, 2)
+    yield from all_subsets(3, 1)
+    for p, n in ((5, 2), (7, 2), (3, 3)):
+        rng = random.Random(f"certify {p} {n}")
+        space = list(itertools.product(range(p), repeat=n))
+        for _ in range(6):
+            yield PointSet(p, n, tuple(rng.sample(space, rng.randint(0, len(space)))))
+
+
+def test_certify_reads_the_cofactors_a_span_solve_finds():
+    for X in _certify_point_sets():
+        p = X.p
+        result = vanishing_ideal(X)
+        ring, target = result.ring, result.ideal()
+        rng = random.Random(f"{X}")
+
+        def poly(top):
+            return Polynomial(ring, {tuple(rng.randrange(top) for _ in ring.variables):
+                                     rng.randrange(1, p) for _ in range(rng.randint(1, 5))})
+
+        combo = Polynomial.zero(ring)
+        for g in result.generators:
+            combo = combo + Polynomial.constant(ring, rng.randrange(p)) * g
+        # (f, is f in I(X)?, None where a random f may go either way)
+        cases = [(combo, True), (combo + poly(p) * result.field_equations[-1], True),
+                 (poly(p), None), (poly(3 * p), None)]
+        if len(X):  # a member plus a polynomial that is 1 at one point of X and 0 elsewhere
+            bump = indicator_polynomial(ring, rng.choice(X.points))
+            cases += [(f + bump, False) for f, _ in cases[:2]]
+        for f, member in cases:
+            cert, oracle = result.certify(f), _span_cofactors(result, f)
+            assert (cert is None) == (oracle is None) and member in (None, cert is not None), (X, f)
+            if cert is not None:
+                assert cert.cofactors == oracle and cert.verify(f, target), (X, f)
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (5, 1), (3, 3)])
+def test_each_generator_holds_a_1_at_a_lex_leading_monomial_no_other_has(p, n):
+    rng = random.Random(f"leads {p} {n}")
+    space = list(itertools.product(range(p), repeat=n))
+    for _ in range(10):
+        X = PointSet(p, n, tuple(rng.sample(space, rng.randint(0, len(space)))))
+        gens = vanishing_ideal(X).generators
+        for g in gens:
+            lead = max(g.terms)
+            assert g.terms[lead] == 1
+            assert [h for h in gens if lead in h.terms] == [g]
 
 
 def test_closure_equality_exhaustive_f2_line():
