@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence, TextIO
 
 from .domains import Fp, QQ, Zn, ZZ, Domain, smallest_factor
@@ -443,6 +444,30 @@ COMMANDS: dict[str, Command] = {
 }
 
 
+_JSON_WORDS = {True: "true", False: "false", None: "null"}
+
+
+def json_text(obj, indent: str = "\n") -> str:
+    """The bytes of json.dumps(obj, indent=2) for str-keyed dicts, lists, str, int,
+    bool and None, without its pure-Python encoder: strings go through the C
+    escaper and ints through int.__repr__, which raises ValueError past Python's
+    digit limit as json.dumps does."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return _JSON_WORDS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    return json.dumps(obj)  # a float, or a TypeError for what JSON cannot hold
+
+
 USAGE = (
     "usage: ringlab <command> [flags] [args...]\n\ncommands:\n"
     + "".join(f"  {name + ' ' + c.synopsis:<31} {c.summary}\n" for name, c in COMMANDS.items())
@@ -472,7 +497,7 @@ def run(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None
         try:
             output = command.render[fmt](result)
             if fmt == "json":
-                output = json.dumps(output, indent=2) + "\n"
+                output = json_text(output) + "\n"
         except ValueError:  # str() of an int past Python's digit limit, in a sum or product
             raise TooLarge(f"the answer holds a number of more than {DIGIT_LIMIT} digits") from None
     except UsageError as exc:

@@ -89,7 +89,8 @@ class MembershipCertificate:
                 return False
             total = Polynomial.zero(ideal.ring)
             for h, g in zip(self.cofactors, ideal.generators):
-                total = total + h * g
+                if not h.is_zero:  # a zero cofactor adds nothing to the sum
+                    total = total + h * g
             return total == f
         if self.verdict == NON_MEMBER:
             if self.witness is None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .domains import Fp, is_prime
@@ -131,7 +132,8 @@ class VanishingIdealResult:
         value = r.evaluator()
         if any(value(pt) for pt in self.point_set):
             return None
-        cofactors = tuple(Polynomial.constant(self.ring, r.terms.get(max(g.terms), 0))
+        one = (0,) * self.ring.nvars  # the monomial 1; r's coefficients are canonical already
+        cofactors = tuple(Polynomial._from_raw(self.ring, {one: r.terms.get(max(g.terms), 0)})
                           for g in self.generators) + tuple(quotients)
         bound = max((int(h.total_degree()) for h in cofactors if not h.is_zero), default=0)
         return MembershipCertificate(MEMBER, bound, cofactors=cofactors)
@@ -158,12 +160,19 @@ def vanishing_ideal(points: PointSet, variables: tuple[str, ...] | None = None) 
 
     The nullspace has dimension p^n - |X| because evaluation of reduced
     polynomials onto functions on X is onto (each point has an indicator
-    polynomial).
+    polynomial).  V(I(X)) = X is then re-checked in two parts, with no
+    evaluation kernel built.  First, every generator is zero on each
+    evaluation row of X.  Second, no generator holds another's lex-leading
+    monomial, so the p^n - |X| generators are independent; as they vanish on
+    X they span every reduced polynomial that does, the indicator of each
+    point outside X among them, so no such point is a common zero.  The field
+    equations vanish on all of F_p^n, so neither part needs them.
     """
     p, n = points.p, points.dim
     check_scan_size(p, n)
     # eliminating |X| rows of p^n entries, and re-checking up to p^n - |X| generators of
-    # |X| + 1 terms at the |X| points, each take at most p^n (|X| + 1)^2 steps
+    # |X| + 1 terms on the |X| rows, each take at most p^n (|X| + 1)^2 steps; the lead
+    # check reads each term once
     steps = p ** n * (len(points) + 1) ** 2
     if steps > WORK_LIMIT:
         raise TooLarge(f"the vanishing ideal of {len(points)} points in F_{p}^{n} takes up to "
@@ -185,10 +194,16 @@ def vanishing_ideal(points: PointSet, variables: tuple[str, ...] | None = None) 
     if len(gens) != p ** n - len(points):
         raise AssertionError("nullspace dimension must be p^n - |X|")
 
-    result = VanishingIdealResult(ring, points, gens, field_equations(ring))
-    if variety(result.ideal()).points != points.points:
+    column = {m: j for j, m in enumerate(monos)}
+    for g in gens:  # g(x) is the sum of c * x^m, and x^m is on x's evaluation row
+        cols, coeffs = [column[m] for m in g.terms], list(g.terms.values())
+        if any(sum(map(operator.mul, coeffs, map(row.__getitem__, cols))) % p
+               for row in matrix):
+            raise AssertionError("V(I(X)) must recover X")
+    leads = {max(g.terms) for g in gens}
+    if len(leads) != len(gens) or any(len(leads.intersection(g.terms)) != 1 for g in gens):
         raise AssertionError("V(I(X)) must recover X")
-    return result
+    return VanishingIdealResult(ring, points, gens, field_equations(ring))
 
 
 def viv_closure(ideal: IdealPresentation) -> VanishingIdealResult:

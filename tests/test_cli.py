@@ -9,9 +9,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringlab import domains
-from ringlab.cli import run, split_argv, UsageError
+from ringlab.cli import json_text, run, split_argv, UsageError
 from ringlab.polynomials import poly_from_json
 
 DATA = Path(__file__).parent / "data"
@@ -306,6 +307,15 @@ def test_exit_code_three_for_resource_limits():
     assert code == 3 and out == ""
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_an_answer_past_the_digit_limit_exits_three(fmt):
+    # the product has 8000 digits: str() and int.__repr__ both refuse it
+    nines = "9" * 4000
+    code, out, err = invoke("parse", f"{nines}*{nines}", "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err == "resource limit: the answer holds a number of more than 4300 digits\n"
+
+
 def test_rational_witness_scan_past_the_scan_limit_exits_three():
     # 11^6 grid points; the scan ran past 20 s before the limit covered Q
     t0 = time.perf_counter()
@@ -417,3 +427,29 @@ def test_help_exits_zero():
     assert code == 0 and "commands:" in out
     code, _, _ = invoke()
     assert code == 0
+
+
+# strings with JSON's escapes, control characters, non-ASCII text and lone surrogates
+_json_strings = st.text(st.characters(exclude_categories=())
+                        | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'))
+_json_scalars = (st.none() | st.booleans() | _json_strings | st.floats()
+                 | st.integers() | st.integers(-10 ** 4000, 10 ** 4000))
+_json_values = st.recursive(_json_scalars, lambda inner: st.lists(inner, max_size=4)
+                            | st.dictionaries(_json_strings, inner, max_size=4), max_leaves=30)
+
+
+@settings(max_examples=300, database=None, deadline=None)
+@given(_json_values)
+def test_json_writer_matches_json_dumps_indent_two(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_writer_edge_cases():
+    for obj in ([], {}, [[]], {"": {}}, (1, (2, "3")), {"a": [None, True, False, -0, 10 ** 99]}):
+        assert json_text(obj) == json.dumps(obj, indent=2)
+    past_the_limit = {"n": [10 ** 4300]}
+    for write in (json_text, lambda obj: json.dumps(obj, indent=2)):
+        with pytest.raises(ValueError):
+            write(past_the_limit)
+    with pytest.raises(TypeError):
+        json_text({"points": {(0, 1)}})

@@ -271,10 +271,10 @@ def test_closure_equality_exhaustive_f2_line():
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (11, 1)])
 def test_closure_equality_exhaustive_small_spaces(p, n):
-    # vanishing_ideal re-verifies V(I(X)) == X internally; driving it over
-    # every subset makes the closure equality exhaustive for these spaces
+    # vanishing_ideal re-verifies V(I(X)) == X internally without a scan; the
+    # brute-force scan of F_p^n checks that re-check over every subset
     for X in all_subsets(p, n):
-        vanishing_ideal(X)
+        assert variety(vanishing_ideal(X).ideal()).points == X.points
 
 
 @pytest.mark.parametrize("p,n,seed", [(13, 1, 3), (2, 4, 4)])
@@ -283,8 +283,8 @@ def test_closure_equality_sampled_largest_spaces(p, n, seed):
     rng = random.Random(seed)
     space = list(itertools.product(range(p), repeat=n))
     for _ in range(400):
-        chosen = tuple(pt for pt in space if rng.random() < 0.5)
-        vanishing_ideal(PointSet(p, n, chosen))
+        X = PointSet(p, n, tuple(pt for pt in space if rng.random() < 0.5))
+        assert variety(vanishing_ideal(X).ideal()).points == X.points
 
 
 # -- irreducibility, decomposition, primality -----------------------------------
@@ -530,3 +530,44 @@ def test_vanishing_ideal_past_the_work_limit_raises_before_the_solve(monkeypatch
     monkeypatch.setattr(varieties, "nullspace_mod_p", None)  # the solve must not start
     with pytest.raises(TooLarge, match=f"takes up to {steps} steps"):
         vanishing_ideal(X)
+
+
+def test_a_generator_that_misses_a_point_of_x_fails_the_recheck(monkeypatch):
+    solve = varieties.nullspace_mod_p
+
+    def shifted(rows, p, ncols):  # the first generator plus 1: nonzero on all of X
+        basis = solve(rows, p, ncols)
+        basis[0][0] = (basis[0].get(0, 0) + 1) % p
+        return basis
+
+    monkeypatch.setattr(varieties, "nullspace_mod_p", shifted)
+    with pytest.raises(AssertionError, match=re.escape("V(I(X)) must recover X")):
+        vanishing_ideal(PointSet(3, 2, ((0, 1), (2, 2), (1, 0))))
+
+
+def test_generators_with_common_zeros_past_x_fail_the_recheck(monkeypatch):
+    # I((0,0)) over F_2^2 is (y, x, x*y) in column order; with y's vector
+    # replaced by x's the count is still 3, but (0,1) is a common zero too
+    solve = varieties.nullspace_mod_p
+
+    def doubled(rows, p, ncols):
+        basis = solve(rows, p, ncols)
+        assert basis == [{1: 1}, {2: 1}, {3: 1}]
+        return [basis[1], basis[1], basis[2]]
+
+    monkeypatch.setattr(varieties, "nullspace_mod_p", doubled)
+    with pytest.raises(AssertionError, match=re.escape("V(I(X)) must recover X")):
+        vanishing_ideal(PointSet(2, 2, ((0, 0),)))
+
+
+def test_vanishing_ideal_builds_no_evaluation_kernel(monkeypatch):
+    # the re-check reads the evaluation rows and the generators' leading
+    # monomials; the scan it replaced built 326 kernels for this input
+    built = []
+    build = Polynomial._build_evaluator
+    monkeypatch.setattr(Polynomial, "_build_evaluator", lambda f: built.append(f) or build(f))
+    rng = random.Random(15)
+    X = PointSet(7, 3, tuple(rng.sample(list(itertools.product(range(7), repeat=3)), 20)))
+    result = vanishing_ideal(X)
+    assert len(result.generators) == 7 ** 3 - 20
+    assert built == []
