@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence, TextIO
 
@@ -42,7 +42,7 @@ from .polyideals import (
     radical_univariate,
     strict_chain_demo,
 )
-from .polynomials import DIGIT_LIMIT, PolyRing, format_polynomial, poly_to_json
+from .polynomials import DIGIT_LIMIT, Polynomial, PolyRing, domain_tag, format_polynomial
 from .raster import raster_plane_curve, render_ascii, render_svg
 from .varieties import (
     PointSet,
@@ -227,7 +227,7 @@ def _ideal_eq(opts, args) -> tuple[dict, str]:
     comparison = ideal_equal_bounded(opts.ideal(left, ring), opts.ideal(right, ring), bound)
     offending = comparison.offending
     payload = {"verdict": comparison.kind, "bound": bound,
-               "offending": None if offending is None else poly_to_json(offending)}
+               "offending": offending}
     if comparison.kind == EQUAL_WITHIN_BOUND:
         return payload, f"equal within bound {bound}\n"
     if comparison.kind == LEFT_NOT_IN_RIGHT:
@@ -280,10 +280,6 @@ def _plot(opts, args):
     return raster_plane_curve(f, opts.window, *opts.res)
 
 
-def _polys(polys) -> list[dict] | None:
-    return None if polys is None else [poly_to_json(g) for g in polys]
-
-
 def _strs(values) -> list[str] | None:
     return None if values is None else [str(v) for v in values]
 
@@ -294,8 +290,8 @@ def _point_lines(points) -> str:
 
 def _videal_json(result) -> dict:
     return {"field": result.point_set.p, "vars": list(result.ring.variables),
-            "generators": _polys(result.generators),
-            "field_equations": _polys(result.field_equations)}
+            "generators": result.generators,
+            "field_equations": result.field_equations}
 
 
 def _videal_text(result) -> str:
@@ -340,7 +336,8 @@ class Command:
     """One command: its usage line, arity (least, most or None, message), run and renderers.
 
     Each render entry turns what run returns into text, or for json into the
-    payload that cli.run serializes.  Rows call library functions by name when
+    payload that cli.run serializes, polynomials left as they are for
+    json_text to write.  Rows call library functions by name when
     they run, so a function rebound on its module (as a tracer does) is called.
     """
 
@@ -353,7 +350,7 @@ class Command:
 
 _ANY = (0, None, "")
 _PAIR = {"json": lambda r: r[0], "text": lambda r: r[1]}  # run returns (payload, text)
-_POLY = {"json": lambda f: poly_to_json(f), "text": lambda f: format_polynomial(f) + "\n"}
+_POLY = {"json": lambda f: f, "text": lambda f: format_polynomial(f) + "\n"}
 
 COMMANDS: dict[str, Command] = {
     "parse": Command(
@@ -386,13 +383,13 @@ COMMANDS: dict[str, Command] = {
         "POINT...", "is the vanishing ideal prime?", _ANY,
         lambda o, a: is_prime_vanishing_ideal(o.points(a), o.names),
         {"json": lambda r: {"prime": r.prime, "witnesses":
-                            dict(zip("fg", _polys(r.witnesses))) if r.witnesses else None},
+                            dict(zip("fg", r.witnesses)) if r.witnesses else None},
          "text": _prime_check_text}),
     "member": Command(
         "EXPR GEN... --bound D", "bounded ideal-membership certificate",
         (1, None, "member expects: f followed by zero or more generators"), _member,
         {"json": lambda c: {"verdict": c.verdict, "bound": c.bound,
-                            "cofactors": _polys(c.cofactors),
+                            "cofactors": c.cofactors,
                             "witness": _strs(c.witness)},
          "text": _member_text}),
     "ideal-eq": Command(
@@ -417,7 +414,7 @@ COMMANDS: dict[str, Command] = {
         "GEN...", "collapse a univariate F_p ideal to one generator",
         (1, None, "hbt expects one or more generator expressions"),
         lambda o, a: hbt_extract_univariate(o.ideal(a)),
-        {"json": lambda r: {"extracted": poly_to_json(r.extracted),
+        {"json": lambda r: {"extracted": r.extracted,
                             "leading_profile": list(r.leading_profile),
                             "verified_equal": r.verified_equal},
          "text": _hbt_text}),
@@ -451,13 +448,16 @@ def json_text(obj, indent: str = "\n") -> str:
     """The bytes of json.dumps(obj, indent=2) for str-keyed dicts, lists, str, int,
     bool and None, without its pure-Python encoder: strings go through the C
     escaper and ints through int.__repr__, which raises ValueError past Python's
-    digit limit as json.dumps does."""
+    digit limit as json.dumps does.  A Polynomial is written as its poly_to_json
+    form."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None or obj is True or obj is False:
         return _JSON_WORDS[obj]
     if isinstance(obj, int):
         return int.__repr__(obj)
+    if isinstance(obj, Polynomial):
+        return _poly_text(obj, indent)
     inner = indent + "  "
     if isinstance(obj, dict):
         items = [encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in obj.items()]
@@ -466,6 +466,32 @@ def json_text(obj, indent: str = "\n") -> str:
         items = [json_text(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
     return json.dumps(obj)  # a float, or a TypeError for what JSON cannot hold
+
+
+def _poly_text(f: Polynomial, indent: str) -> str:
+    """json_text(poly_to_json(f), indent), written from f's terms in lex-descending
+    order, one template per term.  Variable names, domain tags, exponents and
+    coefficients (ints, or fractions a/b) hold no character that needs escaping;
+    str of a coefficient past the digit limit raises ValueError."""
+    empty, head, term, comma, close = _poly_templates(f.ring, indent)
+    if not f.terms:
+        return empty
+    return head + comma.join([term % (*exps, c)
+                              for exps, c in sorted(f.terms.items(), reverse=True)]) + close
+
+
+@lru_cache(maxsize=64)
+def _poly_templates(ring: PolyRing, indent: str) -> tuple[str, str, str, str, str]:
+    """The pieces of _poly_text for ring at indent: the zero polynomial's text, the
+    text before the first term, a term's template (a %d per exponent and a %s for
+    the coefficient), the text between terms and the text after the last."""
+    i1 = indent + "  "
+    i2, i3, i4 = i1 + "  ", i1 + "    ", i1 + "      "
+    head = ("{" + i1 + '"vars": [' + i2 + ('",' + i2 + '"').join(ring.variables).join('""')
+            + i1 + "]," + i1 + '"domain": "' + domain_tag(ring.domain) + '",' + i1 + '"terms": ')
+    term = ("{" + i3 + '"exps": [' + i4 + ("," + i4).join(["%d"] * ring.nvars) + i3 + "],"
+            + i3 + '"coeff": "%s"' + i2 + "}")
+    return head + "[]" + indent + "}", head + "[" + i2, term, "," + i2, i1 + "]" + indent + "}"
 
 
 USAGE = (

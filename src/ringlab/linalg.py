@@ -1,22 +1,28 @@
-"""Exact linear algebra: one sparse Gauss-Jordan kernel over Z and F_p.
+"""Exact linear algebra over Z and F_p: a sparse Gauss-Jordan for solves, a
+dense one for nullspaces.
 
-Every solve and nullspace runs through `_gauss_jordan` on rows stored as
-dicts (column -> nonzero int).  A rational system is first scaled row by
-row to integers (by the lcm of the row's denominators); elimination stays
-in Z and divides every updated row by its content.  Over F_p each pivot
-row is scaled to a leading 1.  A column's pivot is the unused row with the
-fewest nonzeros, which keeps fill-in low on sparse Macaulay matrices.
+Every solve runs through `_gauss_jordan` on rows stored as dicts (column ->
+nonzero int).  A rational system is first scaled row by row to integers
+(by the lcm of the row's denominators); elimination stays in Z and divides
+every updated row by its content.  Over F_p each pivot row is scaled to a
+leading 1.  A column's pivot is the unused row with the fewest nonzeros,
+which keeps fill-in low on sparse Macaulay matrices.
+
+`nullspace_mod_p` reduces dense lists instead: its one caller hands it the
+evaluation rows of a point set, which have no zeros to skip.
 
 Columns are eliminated strictly in order, so column j gets a pivot exactly
 when it is not in the span of the columns before it, whichever row is
-picked.  The reduced pivot rows are then fixed up to scale, and so is
-every answer read off them: the solution with free variables zero, and
-the nullspace basis with one vector per free column.
+picked.  The reduced pivot rows are then fixed up to scale (over F_p they
+are the unique reduced row echelon form), and so is every answer read off
+them: the solution with free variables zero, and the nullspace basis with
+one vector per free column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Sequence
 
@@ -118,16 +124,32 @@ def nullspace_mod_p(rows: Sequence[Sequence[int]], p: int, ncols: int) -> list[R
 
     The vector of free column f is 1 at f and minus f's entry of each pivot
     row at that row's column, which lies left of f; its keys ascend, and it
-    has at most rank + 1 of them.
+    has at most rank + 1 of them.  The rows are reduced as dense lists (a
+    copy: the caller's rows are not changed).  A row not yet picked as a
+    pivot is zero left of the column being eliminated, so each update
+    touches only the columns from there on.
     """
-    pivots = _gauss_jordan([_residue_row(row, p) for row in rows], ncols, p)
-    basis: dict[int, Row] = {f: {} for f in range(ncols)}
-    for c, _ in pivots:
-        del basis[c]
-    for c, row in pivots:
-        for k, x in row.items():
-            if k != c:
-                basis[k][c] = -x % p
-    for f, v in basis.items():
+    pending = [[x % p for x in row] for row in rows]
+    cols: list[int] = []
+    reduced: list[list[int]] = []
+    for c in range(ncols):
+        if not pending:
+            break
+        r = next((i for i, row in enumerate(pending) if row[c]), None)
+        if r is None:
+            continue
+        prow = pending.pop(r)
+        inv = pow(prow[c], -1, p)
+        tail = prow[c:] = [v * inv % p for v in prow[c:]]
+        for row in chain(reduced, pending):
+            if t := row[c]:
+                row[c:] = [(a - t * b) % p for a, b in zip(row[c:], tail)]
+        cols.append(c)
+        reduced.append(prow)
+    entries = list(zip(*reduced)) if reduced else [()] * ncols  # entries[f]: column f
+    basis = []
+    for f in sorted(set(range(ncols)).difference(cols)):
+        v = {c: p - x for c, x in zip(cols, entries[f]) if x}
         v[f] = 1
-    return list(basis.values())
+        basis.append(v)
+    return basis

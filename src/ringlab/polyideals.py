@@ -58,7 +58,7 @@ class IdealPresentation:
     def __post_init__(self):
         gens = []
         for g in self.generators:
-            if g.ring != self.ring:
+            if g.ring is not self.ring and g.ring != self.ring:
                 raise RingMismatch(f"generator ring {g.ring} differs from {self.ring}")
             if not g.is_zero:
                 gens.append(g)

@@ -11,8 +11,9 @@ and the irreducible sets are the singletons.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .domains import Fp, is_prime
@@ -161,12 +162,19 @@ def vanishing_ideal(points: PointSet, variables: tuple[str, ...] | None = None) 
     The nullspace has dimension p^n - |X| because evaluation of reduced
     polynomials onto functions on X is onto (each point has an indicator
     polynomial).  V(I(X)) = X is then re-checked in two parts, with no
-    evaluation kernel built.  First, every generator is zero on each
-    evaluation row of X.  Second, no generator holds another's lex-leading
-    monomial, so the p^n - |X| generators are independent; as they vanish on
-    X they span every reduced polynomial that does, the indicator of each
-    point outside X among them, so no such point is a common zero.  The field
-    equations vanish on all of F_p^n, so neither part needs them.
+    evaluation kernel built.  First, no generator holds another's lex-leading
+    monomial, so the p^n - |X| generators are independent, and each one's
+    other terms lie on the |X| monomials that lead none.  Second, every
+    generator is zero at each point of X.  Each evaluation column is packed
+    into one int with a 64-bit field per point, so a generator's coefficients
+    times its terms' columns sum to its values on all of X at once, one per
+    field.  A field then adds at most |X| + 1 products of residues, so the
+    check needs (|X| + 1)(p - 1)^2 < 2^64, which it tests; the admission
+    bound p^n (|X| + 1)^2 <= WORK_LIMIT keeps that sum below 2^40.  As the
+    generators vanish on X they span every reduced polynomial that does, the
+    indicator of each point outside X among them, so no such point is a
+    common zero.  The field equations vanish on all of F_p^n, so neither part
+    needs them.
     """
     p, n = points.p, points.dim
     check_scan_size(p, n)
@@ -183,8 +191,11 @@ def vanishing_ideal(points: PointSet, variables: tuple[str, ...] | None = None) 
     monos = reduced_monomials(p, n)
     matrix = []
     for pt in points:  # entries in reduced_monomials' lex order, from per-coordinate powers
-        powers = [[pow(c, e, p) for e in range(p)] for c in pt]
-        matrix.append([math.prod(vs) % p for vs in itertools.product(*powers)])
+        row = [1]
+        for c in pt:
+            powers = [pow(c, e, p) for e in range(p)]
+            row = [a * b % p for a in row for b in powers]
+        matrix.append(row)
 
     basis = nullspace_mod_p(matrix, p, len(monos))
     if len(names) != n:  # the exponent vector the first generator would be built on
@@ -194,15 +205,20 @@ def vanishing_ideal(points: PointSet, variables: tuple[str, ...] | None = None) 
     if len(gens) != p ** n - len(points):
         raise AssertionError("nullspace dimension must be p^n - |X|")
 
-    column = {m: j for j, m in enumerate(monos)}
-    for g in gens:  # g(x) is the sum of c * x^m, and x^m is on x's evaluation row
-        cols, coeffs = [column[m] for m in g.terms], list(g.terms.values())
-        if any(sum(map(operator.mul, coeffs, map(row.__getitem__, cols))) % p
-               for row in matrix):
-            raise AssertionError("V(I(X)) must recover X")
     leads = {max(g.terms) for g in gens}
     if len(leads) != len(gens) or any(len(leads.intersection(g.terms)) != 1 for g in gens):
         raise AssertionError("V(I(X)) must recover X")
+    if (len(points) + 1) * (p - 1) ** 2 >> 64:
+        raise AssertionError("a 64-bit field must hold |X| + 1 products of residues")
+    if matrix:  # column m packed as one int, a 64-bit field per point
+        packed = {m: int.from_bytes(array("Q", col), sys.byteorder)
+                  for m, col in zip(monos, zip(*matrix))}
+        width = 8 * len(matrix)
+        sums = (sum(map(operator.mul, g.terms.values(), map(packed.__getitem__, g.terms)))
+                for g in gens)  # g's values on X, unreduced, one a field
+        values = array("Q", b"".join(v.to_bytes(width, sys.byteorder) for v in sums))
+        if any(map(p.__rmod__, values)):
+            raise AssertionError("V(I(X)) must recover X")
     return VanishingIdealResult(ring, points, gens, field_equations(ring))
 
 

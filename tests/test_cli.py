@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from ringlab import domains
 from ringlab.cli import json_text, run, split_argv, UsageError
-from ringlab.polynomials import poly_from_json
+from ringlab.polynomials import Polynomial, PolyRing, poly_from_json, poly_to_json
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -309,11 +309,13 @@ def test_exit_code_three_for_resource_limits():
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_an_answer_past_the_digit_limit_exits_three(fmt):
-    # the product has 8000 digits: str() and int.__repr__ both refuse it
+    # N*N has 8000 digits: str() and int.__repr__ both refuse it, as a constant answer
+    # or as the denominator of a polynomial's coefficient
     nines = "9" * 4000
-    code, out, err = invoke("parse", f"{nines}*{nines}", "--format", fmt)
-    assert (code, out) == (3, "")
-    assert err == "resource limit: the answer holds a number of more than 4300 digits\n"
+    for expr in ("N*N", "x^2 + 1/N*1/N*x"):
+        code, out, err = invoke("parse", expr.replace("N", nines), "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err == "resource limit: the answer holds a number of more than 4300 digits\n"
 
 
 def test_rational_witness_scan_past_the_scan_limit_exits_three():
@@ -434,19 +436,56 @@ _json_strings = st.text(st.characters(exclude_categories=())
                         | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'))
 _json_scalars = (st.none() | st.booleans() | _json_strings | st.floats()
                  | st.integers() | st.integers(-10 ** 4000, 10 ** 4000))
-_json_values = st.recursive(_json_scalars, lambda inner: st.lists(inner, max_size=4)
+_DOMAINS = (domains.ZZ, domains.QQ, domains.Fp(2), domains.Fp(32003), domains.Zn(1),
+            domains.Zn(12))
+
+
+@st.composite
+def _polynomials(draw):
+    """Polynomials over z, q, fp:P and zn:N in 1-4 variables: zero, constants, and up
+    to 6 terms with negative, large and (over q) non-integral coefficients."""
+    domain = draw(st.sampled_from(_DOMAINS))
+    names = draw(st.lists(st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,2}", fullmatch=True),
+                          min_size=1, max_size=4, unique=True))
+    coeffs = st.integers(-10 ** 40, 10 ** 40)
+    if domain is domains.QQ:
+        coeffs |= st.fractions(max_denominator=10 ** 12)
+    exps = st.tuples(*[st.integers(0, 3) | st.integers(0, 10 ** 6)] * len(names))
+    constant = st.dictionaries(st.just((0,) * len(names)), coeffs, max_size=1)
+    terms = draw(constant | st.dictionaries(exps, coeffs, max_size=6))
+    return Polynomial(PolyRing(domain, tuple(names)), terms)
+
+
+def _as_dumped(obj):
+    """obj with poly_to_json(f) in place of each polynomial f, as json.dumps takes it."""
+    if isinstance(obj, Polynomial):
+        return poly_to_json(obj)
+    if isinstance(obj, dict):
+        return {k: _as_dumped(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_as_dumped(v) for v in obj]
+    return obj
+
+
+_json_values = st.recursive(_json_scalars | _polynomials(),
+                            lambda inner: st.lists(inner, max_size=4)
                             | st.dictionaries(_json_strings, inner, max_size=4), max_leaves=30)
 
 
 @settings(max_examples=300, database=None, deadline=None)
 @given(_json_values)
 def test_json_writer_matches_json_dumps_indent_two(obj):
-    assert json_text(obj) == json.dumps(obj, indent=2)
+    assert json_text(obj) == json.dumps(_as_dumped(obj), indent=2)
 
 
 def test_json_writer_edge_cases():
     for obj in ([], {}, [[]], {"": {}}, (1, (2, "3")), {"a": [None, True, False, -0, 10 ** 99]}):
         assert json_text(obj) == json.dumps(obj, indent=2)
+    for domain in _DOMAINS:  # the zero polynomial and a constant, alone and nested
+        ring = PolyRing(domain, ("x", "y"))
+        for f in (Polynomial(ring), Polynomial(ring, {(0, 0): -7})):
+            for obj in (f, [f], {"f": [f, {"g": f}]}):
+                assert json_text(obj) == json.dumps(_as_dumped(obj), indent=2)
     past_the_limit = {"n": [10 ** 4300]}
     for write in (json_text, lambda obj: json.dumps(obj, indent=2)):
         with pytest.raises(ValueError):

@@ -295,6 +295,21 @@ def check_nullspace(rows, p, ncols):
     assert [densify(v, ncols) for v in basis] == oracle
 
 
+def wide_system(rng, entry):
+    """Random rows in the shape of a few points' evaluation rows over F_p^n, 1-3 rows
+    by 300-400 columns: some all-zero columns (the first one at times), and at times
+    an all-zero row or a duplicate row in place of the last."""
+    ncols = rng.randint(300, 400)
+    zero_cols = set(rng.sample(range(ncols), rng.randint(0, 40)))
+    if rng.random() < 0.3:
+        zero_cols.add(0)
+    rows = [[0 if j in zero_cols else entry() for j in range(ncols)]
+            for _ in range(rng.randint(1, 3))]
+    if len(rows) >= 2 and rng.random() < 0.6:
+        rows[-1] = [0] * ncols if rng.random() < 0.5 else list(rows[0])
+    return rows
+
+
 def test_nullspace_is_sparse_and_equals_the_dense_oracle():
     rng = random.Random("nullspace")
     for p in (2, 3, 5, 101):
@@ -310,3 +325,7 @@ def test_nullspace_is_sparse_and_equals_the_dense_oracle():
             points = rng.sample(list(product(range(p), repeat=2)), rng.randint(1, min(6, p * p)))
             rows = [[pow(x, a, p) * pow(y, b, p) % p for a, b in monos] for x, y in points]
             check_nullspace(rows, p, len(monos))
+        for _ in range(8):
+            rows = wide_system(rng, entry)
+            check_nullspace(rows, p, len(rows[0]))
+        check_nullspace([], p, rng.randint(300, 400))

@@ -7,12 +7,12 @@ import time
 import pytest
 
 from ringlab import varieties
-from ringlab.domains import Fp, QQ
+from ringlab.domains import Fp, QQ, is_prime
 from ringlab.errors import InvalidDomain, TooLarge, UnsupportedDomain
 from ringlab.parsing import parse_polynomial
 from ringlab.polyideals import (IdealPresentation, MEMBER, common_zeros, membership_bounded,
                                 solve_in_span)
-from ringlab.polynomials import Polynomial, PolyRing
+from ringlab.polynomials import WORK_LIMIT, Polynomial, PolyRing
 from ringlab.varieties import (
     PointSet,
     decompose,
@@ -571,3 +571,17 @@ def test_vanishing_ideal_builds_no_evaluation_kernel(monkeypatch):
     result = vanishing_ideal(X)
     assert len(result.generators) == 7 ** 3 - 20
     assert built == []
+
+
+def test_vanishing_ideal_at_the_widest_packed_field():
+    # the re-check sums each generator's |X| + 1 products of residues in one 64-bit field
+    # per point; under p^n (|X| + 1)^2 <= WORK_LIMIT the bound (|X| + 1)(p - 1)^2 on that
+    # sum is largest at one point of F_p, p the largest prime up to WORK_LIMIT / 4
+    p = 249989
+    assert is_prime(p) and not any(map(is_prime, range(p + 1, WORK_LIMIT // 4 + 1)))
+    assert 2 ** 32 < 2 * (p - 1) ** 2 < 2 ** 40
+    result = vanishing_ideal(PointSet(p, 1, ((p - 1,),)))  # admitted: p * 2^2 <= WORK_LIMIT
+    assert len(result.generators) == p - 1
+    # x^f - (-1)^f, one for each free column f
+    assert all(g.terms == {(0,): -(-1) ** f % p, (f,): 1}
+               for f, g in enumerate(result.generators, 1))
