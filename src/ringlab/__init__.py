@@ -45,7 +45,6 @@ from .polyideals import (
     strict_chain_demo,
 )
 from .polynomials import (
-    MonomialOrder,
     Polynomial,
     PolyRing,
     format_polynomial,

@@ -5,8 +5,7 @@ zero polynomial has no terms.  ``Polynomial(...)`` checks and canonicalizes
 outside terms; the library's own go through ``Polynomial._from_raw``, which
 reduces each coefficient once (Z -> Z/n is a ring map) and checks nothing,
 so a stored zero coefficient can never be observed.  Monomials are compared in
-lexicographic order of the declared variables by default; graded-lex is
-available for display.
+lexicographic order of the declared variables, the one order every writer uses.
 
 Every point evaluation runs one kernel: ``Polynomial.evaluator()``, a closure
 built once per polynomial from its int terms, which maps a tuple of raw
@@ -21,7 +20,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -41,7 +39,7 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 NEG_INFINITY = float("-inf")
 # term pairs one product or power may multiply, witness terms one prime check may build
 # and evaluate, or coordinates one chain-demo may evaluate: 1-3 s just under it
-# on a 2-vCPU host, up to ~6 s for a power over Q
+# on a 2-vCPU host, up to ~6 s for a power over Q and ~7 s for a prime check over F_p
 WORK_LIMIT = 1_000_000
 # decimal digits of one integer: Python's default limit for int <-> str conversion
 DIGIT_LIMIT = 4300
@@ -76,19 +74,6 @@ class PolyRing:
 
     def __str__(self) -> str:
         return f"{self.domain}[{', '.join(self.variables)}]"
-
-
-class MonomialOrder(Enum):
-    LEX = "lex"
-    GRLEX = "grlex"
-
-    def key(self, exps: tuple[int, ...]):
-        if self is MonomialOrder.GRLEX:
-            return (sum(exps), exps)
-        return exps
-
-
-DEFAULT_ORDER = MonomialOrder.LEX
 
 
 class Polynomial:
@@ -171,13 +156,13 @@ class Polynomial:
             return NEG_INFINITY
         return max(e[0] for e in self.terms)
 
-    def leading_monomial(self, order: MonomialOrder = DEFAULT_ORDER) -> tuple[int, ...]:
+    def leading_monomial(self) -> tuple[int, ...]:
         if not self.terms:
             raise ZeroPolynomial("the zero polynomial has no leading term")
-        return max(self.terms, key=order.key)
+        return max(self.terms)
 
-    def leading_coefficient(self, order: MonomialOrder = DEFAULT_ORDER) -> RingElement:
-        return self.ring.domain.element(self.terms[self.leading_monomial(order)])
+    def leading_coefficient(self) -> RingElement:
+        return self.ring.domain.element(self.terms[self.leading_monomial()])
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -400,8 +385,8 @@ def _reduced(dom: Domain, raw: dict[tuple[int, ...], Value]) -> dict[tuple[int, 
     return {e: c for e, c in raw.items() if c}
 
 
-def format_polynomial(f: Polynomial, order: MonomialOrder = DEFAULT_ORDER) -> str:
-    """Canonical string form: terms descending, explicit '*', '^' powers.
+def format_polynomial(f: Polynomial) -> str:
+    """Canonical string form: terms lex-descending, explicit '*', '^' powers.
 
     parse(format(f)) == f holds for every polynomial, including ones whose
     variable names would be ambiguous under juxtaposition.
@@ -411,8 +396,7 @@ def format_polynomial(f: Polynomial, order: MonomialOrder = DEFAULT_ORDER) -> st
     names = f.ring.variables
     signed = f.ring.domain.kind in ("Z", "Q")
     pieces: list[str] = []
-    for exps in sorted(f.terms, key=order.key, reverse=True):
-        coeff = f.terms[exps]
+    for exps, coeff in sorted(f.terms.items(), reverse=True):
         negative = signed and coeff < 0
         magnitude = -coeff if negative else coeff
         factors = []
@@ -431,15 +415,13 @@ def format_polynomial(f: Polynomial, order: MonomialOrder = DEFAULT_ORDER) -> st
     return "".join(pieces)
 
 
-def poly_to_json(f: Polynomial, order: MonomialOrder = DEFAULT_ORDER) -> dict:
-    """Canonical JSON form with exact string coefficients."""
+def poly_to_json(f: Polynomial) -> dict:
+    """Canonical JSON form with exact string coefficients, terms lex-descending."""
     return {
         "vars": list(f.ring.variables),
         "domain": domain_tag(f.ring.domain),
-        "terms": [
-            {"exps": list(exps), "coeff": str(f.terms[exps])}
-            for exps in sorted(f.terms, key=order.key, reverse=True)
-        ],
+        "terms": [{"exps": list(exps), "coeff": str(c)}
+                  for exps, c in sorted(f.terms.items(), reverse=True)],
     }
 
 

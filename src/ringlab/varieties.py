@@ -149,6 +149,15 @@ def reduced_monomials(p: int, n: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(p), repeat=n))
 
 
+def _tensor(factors: list[list[int]], p: int) -> list[int]:
+    """The products a_1[e_1] ... a_n[e_n] mod p, one per exponent tuple, in
+    reduced_monomials' lex order: a point's evaluation row, or an indicator's terms."""
+    out = [1]
+    for a in factors:
+        out = [x * y % p for x in out for y in a]
+    return out
+
+
 def field_equations(ring: PolyRing) -> tuple[Polynomial, ...]:
     """x_i^p - x_i for each variable; they vanish on every point of F_p^n."""
     p = _require_prime_field_ring(ring)
@@ -189,13 +198,7 @@ def vanishing_ideal(points: PointSet, variables: tuple[str, ...] | None = None) 
     ring = PolyRing(Fp(p), names)
 
     monos = reduced_monomials(p, n)
-    matrix = []
-    for pt in points:  # entries in reduced_monomials' lex order, from per-coordinate powers
-        row = [1]
-        for c in pt:
-            powers = [pow(c, e, p) for e in range(p)]
-            row = [a * b % p for a in row for b in powers]
-        matrix.append(row)
+    matrix = [_tensor([[pow(c, e, p) for e in range(p)] for c in pt], p) for pt in points]
 
     basis = nullspace_mod_p(matrix, p, len(monos))
     if len(names) != n:  # the exponent vector the first generator would be built on
@@ -260,14 +263,18 @@ class PrimenessReport:
 
 
 def indicator_polynomial(ring: PolyRing, point: tuple[int, ...]) -> Polynomial:
-    """The reduced polynomial that is 1 at the point and 0 elsewhere."""
+    """The reduced polynomial that is 1 at the point and 0 elsewhere.
+
+    It is the product of 1 - (x_i - c_i)^(p-1), written down term by term: as
+    C(p-1, k) = (-1)^k and (-1)^(p-1) = 1 mod p, (x - c)^(p-1) = sum_k c^(p-1-k) x^k
+    (with 0^0 = 1), so x^k has the coefficient [k = 0] - c^(p-1-k) in the i-th factor.
+    """
     p = _require_prime_field_ring(ring)
-    f = Polynomial.one(ring)
-    for name, c in zip(ring.variables, point):
-        x = Polynomial.variable(ring, name)
-        shifted = x - Polynomial.constant(ring, c)
-        f = f * (Polynomial.one(ring) - shifted ** (p - 1))
-    return f
+    if len(point) != ring.nvars:
+        raise DomainMismatch(f"expected {ring.nvars} coordinates, got {len(point)}")
+    factors = [[(k == 0) - pow(c, p - 1 - k, p) for k in range(p)] for c in point]
+    return Polynomial._from_raw(ring, dict(zip(reduced_monomials(p, ring.nvars),
+                                               _tensor(factors, p))))
 
 
 def is_prime_vanishing_ideal(points: PointSet,

@@ -374,8 +374,9 @@ def test_member_past_the_matrix_cell_limit_exits_three_before_allocating():
     (("parse", "1" * 4301), "4301-digit number"),
     (("hbt", "--field", "fp:7", "x^100000-1", "x^3-1"), "cells"),
     (("prime-check", "--field", "fp:1009", "0,0", "1,1"), "4072324 steps"),
-    (("prime-check", "--field", "fp:10007", "5", "7"), "2362156 term pairs"),  # at the power
-    (("prime-check", "--field", "fp:3001", "5", "7"), "1684324 term pairs"),
+    # the first primes past prime-check's estimate p^n (n + |X|) <= 10^6, the one limit there
+    (("prime-check", "--field", "fp:333337", "1", "2"), "1000011 steps"),
+    (("prime-check", "--field", "fp:503", "0,0", "1,1"), "1012036 steps"),
     (("videal", "--field", "fp:997", "0,0"), "3976036 steps"),  # 24 s before
     (("viv", "--field", "fp:101", "x-y"), "106131204 steps"),    # 12-24 s before
     (("chain-demo", "300"), "13680450 coordinates"),
@@ -404,6 +405,18 @@ def test_prime_check_verifies_the_witness_pair_without_forming_their_product():
     f, g = (poly_from_json(payload["witnesses"][k]) for k in "fg")
     assert len(f.terms) == 100 ** 2 and g == 1 - f  # (1 - (x-5)^100)(1 - (y-5)^100)
     assert [f.evaluate(pt).value for pt in ((5, 5), (7, 7))] == [1, 0]
+
+
+@pytest.mark.parametrize("p", [10007, 3001])
+def test_prime_check_past_the_old_power_budget_answers(p):
+    # both exited 3 at the power (x - 5)^(p-1) before the indicator was written in closed form
+    t0 = time.perf_counter()
+    payload = invoke_json("prime-check", "--field", f"fp:{p}", "5", "7")
+    assert time.perf_counter() - t0 < 1.0
+    assert payload["prime"] is False
+    f, g = (poly_from_json(payload["witnesses"][k]) for k in "fg")
+    assert [f.evaluate((c,)).value for c in (5, 7)] == [1, 0]
+    assert g == 1 - f
 
 
 def test_power_of_a_monomial_answers_at_once():

@@ -53,6 +53,8 @@ CAPPED_REPROS = [
     # both exited 3 past a span-solve cell limit before certify read cofactors off the basis
     (["viv", "--field", "fp:32003", "x"], 0, 5.0, None),
     (["viv", "--field", "fp:10007", "x"], 0, 5.0, None),
+    # exited 3 at the power budget of (x - 5)^10006 before the indicator's closed form
+    (["prime-check", "--field", "fp:10007", "5", "7"], 0, 2.0, None),
 ]
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from ringlab import varieties
 from ringlab.domains import Fp, QQ, is_prime
-from ringlab.errors import InvalidDomain, TooLarge, UnsupportedDomain
+from ringlab.errors import DomainMismatch, InvalidDomain, TooLarge, UnsupportedDomain
 from ringlab.parsing import parse_polynomial
 from ringlab.polyideals import (IdealPresentation, MEMBER, common_zeros, membership_bounded,
                                 solve_in_span)
@@ -347,6 +347,23 @@ def test_indicator_polynomial_is_reduced_delta():
     assert all(all(e < 3 for e in exps) for exps in f.terms)
 
 
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1),
+                                  (5, 2), (7, 1), (7, 2)])
+def test_indicator_closed_form_equals_the_product_of_powers(p, n):
+    # the oracle multiplies out prod_i (1 - (x_i - c_i)^(p-1)) with Polynomial arithmetic
+    ring = PolyRing(Fp(p), ("x", "y", "z")[:n])
+    one = Polynomial.one(ring)
+    xs = [Polynomial.variable(ring, name) for name in ring.variables]
+    for point in itertools.product([*range(p), -1, p + 2], repeat=n):
+        oracle = one
+        for x, c in zip(xs, point):
+            oracle = oracle * (one - (x - c) ** (p - 1))
+        assert indicator_polynomial(ring, point) == oracle
+    for wrong in ((0,) * (n - 1), (0,) * (n + 1)):
+        with pytest.raises(DomainMismatch):
+            indicator_polynomial(ring, wrong)
+
+
 # -- the Galois connection laws (small versions; the full sweep is acceptance) --
 
 
@@ -507,12 +524,13 @@ def test_prime_check_estimate_bounds_its_largest_product(p, points, monkeypatch)
     mul, pairs, operands = Polynomial.__mul__, [], []
     monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: operands.append({a, b})
                         or pairs.append(len(a.terms) * len(b.terms)) or mul(a, b))
+    monkeypatch.setattr(Polynomial, "__pow__", None)  # a power raises TypeError
     evaluate, evaluated = Polynomial.evaluate, {}
     monkeypatch.setattr(Polynomial, "evaluate", lambda f, pt: evaluated.update(
         {f: evaluated.get(f, 0) + len(f.terms)}) or evaluate(f, pt))
     dim = len(points[0])
     f, g = is_prime_vanishing_ideal(PointSet(p, dim, tuple(points))).witnesses
-    assert max(pairs) <= (p ** dim) ** 2
+    assert pairs == []  # the indicator is written term by term, with no product or power
     assert {f, g} not in operands
     estimate = p ** dim * (dim + len(points))
     assert set(evaluated) == {f, g} and max(evaluated.values()) <= p ** dim * len(points)
