@@ -30,10 +30,11 @@ Row = dict[int, int]
 
 
 def _integer_row(row: Sequence) -> Row:
-    """The nonzero entries of a rational row, scaled to integers by the lcm of their denominators."""
-    fracs = {j: Fraction(x) for j, x in enumerate(row) if x}
-    scale = lcm(*(f.denominator for f in fracs.values()))
-    return {j: f.numerator * (scale // f.denominator) for j, f in fracs.items()}
+    """The nonzero entries of a row of ints and Fractions, scaled to integers by the lcm
+    of their denominators (read straight off each entry: an int's is 1)."""
+    entries = {j: x for j, x in enumerate(row) if x}
+    scale = lcm(*(x.denominator for x in entries.values()))
+    return {j: x.numerator * (scale // x.denominator) for j, x in entries.items()}
 
 
 def _residue_row(row: Sequence[int], p: int) -> Row:

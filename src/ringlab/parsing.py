@@ -14,6 +14,12 @@ with '-'; after an explicit '*' it may.  Identifiers munch greedily, so
 Z/n the slash multiplies by the modular inverse; over Z the denominator
 must divide exactly.  Parentheses nest at most MAX_NESTING deep, so a
 deep input is a ParseError rather than a RecursionError.
+
+Atoms fold: a run of them in a term (nat, nat/nat, a known variable with
+an optional ^nat, each optionally negated) becomes one monomial whose
+coefficient is canonicalized once.  It is multiplied into the term where
+the run ends, as the left-to-right products would be, so every limit and
+error fires where it did with one product per factor.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from fractions import Fraction
 
 from .domains import QQ, ZZ
 from .errors import AlgebraError, BadCoefficient, ParseError, TooLarge, UnknownVariable
-from .polynomials import DIGIT_LIMIT, Polynomial, PolyRing
+from .polynomials import DIGIT_LIMIT, WORK_LIMIT, Polynomial, PolyRing
 
 _TOKEN_CHARS = set("+-*/^()")
 MAX_NESTING = 100  # parentheses; each level costs about 4 Python frames
@@ -75,6 +81,7 @@ class _Parser:
     def __init__(self, tokens: list[Token], ring: PolyRing):
         self.tokens = tokens
         self.ring = ring
+        self.index = {name: k for k, name in enumerate(ring.variables)}
         self.i = 0
         self.depth = 0
 
@@ -109,17 +116,59 @@ class _Parser:
         return f
 
     def term(self) -> Polynomial:
-        f = self.factor()
+        f = None
         while True:
+            # a run of atoms is one monomial, multiplied in where the run ends; past
+            # WORK_LIMIT terms f times an atom is refused, so each atom is its own factor
+            g = self.atoms() if f is None or len(f.terms) <= WORK_LIMIT else None
+            if g is None:
+                g = self.factor()
+            f = g if f is None else f * g
             tok = self.peek()
             if tok.kind == "*":
                 self.advance()
-                f = f * self.factor()
-            elif tok.kind in ("nat", "name", "("):
-                # juxtaposition: an unsigned factor follows directly
-                f = f * self.factor()
-            else:
+            elif tok.kind not in ("nat", "name", "("):  # else juxtaposition: an unsigned factor
                 return f
+
+    def atoms(self) -> Polynomial | None:
+        """A run of atoms joined by '*' or juxtaposition, as one monomial; None
+        when no atom starts here.  An atom is a nat, a nat/nat or a known
+        variable with an optional ^nat, each optionally negated; the run stops
+        before a '*' that no atom follows, and factor() reads the rest."""
+        toks, index, m = self.tokens, self.index, self.ring.domain.modulus
+        coeff, exps, start = 1, [0] * self.ring.nvars, self.i
+        i = start
+        while True:
+            j = i + (toks[i].kind == "-")
+            tok = toks[j]
+            if tok.kind == "name" and tok.text in index:
+                e, end = 1, j + 1
+                if toks[end].kind == "^":
+                    if toks[j + 2].kind != "nat":
+                        break
+                    e, end = int(toks[j + 2].text), j + 3
+                exps[index[tok.text]] += e
+                value = 1
+            elif tok.kind == "nat" and toks[j + 1].kind != "^":  # nat^nat is a factor
+                value, end = int(tok.text), j + 1
+                if toks[end].kind == "/":
+                    den = toks[j + 2]
+                    if den.kind != "nat" or toks[j + 3].kind == "^":
+                        break
+                    value, end = self._fraction(value, int(den.text), den.pos), j + 3
+            else:
+                break
+            coeff = coeff * value if j == i else -coeff * value
+            if m:
+                coeff %= m
+            i = self.i = end
+            if toks[i].kind == "*":
+                i += 1
+            elif toks[i].kind not in ("nat", "name"):
+                break
+        if self.i == start:
+            return None
+        return Polynomial._from_raw(self.ring, {tuple(exps): self.ring.domain.canon(coeff)})
 
     def factor(self) -> Polynomial:
         negate = False

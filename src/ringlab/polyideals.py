@@ -19,6 +19,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Iterator, Sequence
 
 from .domains import QQ, Domain, RingElement, Value
@@ -118,7 +119,7 @@ def membership_bounded(f: Polynomial, ideal: IdealPresentation, bound: int) -> M
     check_matrix_size(f, gens, bound)
     shifts = monomials_up_to(ring.nvars, bound)
     columns = [  # column (i, m) is m * g_i; its solved coefficient is h_i's on m
-        Polynomial._from_raw(ring, {tuple(a + b for a, b in zip(exps, shift)): c
+        Polynomial._from_raw(ring, {tuple(map(add, exps, shift)): c
                                     for exps, c in g.terms.items()})
         for g in gens for shift in shifts
     ]

@@ -7,6 +7,13 @@ reduces each coefficient once (Z -> Z/n is a ring map) and checks nothing,
 so a stored zero coefficient can never be observed.  Monomials are compared in
 lexicographic order of the declared variables, the one order every writer uses.
 
+Every product and power runs one term-pair loop, ``_raw_product``.  Over Q
+it runs on integer numerators over one denominator (Knuth, TAOCP vol. 2,
+4.6.1): each operand is scaled by the lcm D of its denominators, the ints
+are multiplied, and each result coefficient is written once as a Fraction
+over D_a*D_b, or over D^e for a power, which is scaled once before its
+binary powering.  Over Z, F_p and Z/n the loop runs on the raw values.
+
 Every point evaluation runs one kernel: ``Polynomial.evaluator()``, a closure
 built once per polynomial from its int terms, which maps a tuple of raw
 canonical coordinates to a value that is zero exactly where the polynomial
@@ -21,6 +28,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .domains import Domain, QQ, RingElement, Value, ZZ
@@ -39,7 +47,7 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 NEG_INFINITY = float("-inf")
 # term pairs one product or power may multiply, witness terms one prime check may build
 # and evaluate, or coordinates one chain-demo may evaluate: 1-3 s just under it
-# on a 2-vCPU host, up to ~6 s for a power over Q and ~7 s for a prime check over F_p
+# on a 2-vCPU host (0.3-1 s for a product or power over Q), ~7 s for a prime check over F_p
 WORK_LIMIT = 1_000_000
 # decimal digits of one integer: Python's default limit for int <-> str conversion
 DIGIT_LIMIT = 4300
@@ -94,16 +102,19 @@ class Polynomial:
         self._set(ring, raw)
 
     @classmethod
-    def _from_raw(cls, ring: PolyRing, raw: dict, base: dict | None = None) -> "Polynomial":
+    def _from_raw(cls, ring: PolyRing, raw: dict, base: dict | None = None,
+                  den: int | None = None) -> "Polynomial":
         """The constructor for terms the library built: exponent tuples of ring's
-        arity, raw sums and products of canonical values.  Reduces, checks nothing."""
+        arity, raw sums and products of canonical values (over Q, or int numerators
+        over the one denominator den).  Reduces, checks nothing."""
         p = cls.__new__(cls)
-        p._set(ring, raw, base)
+        p._set(ring, raw, base, den)
         return p
 
-    def _set(self, ring: PolyRing, raw: dict, base: dict | None = None) -> None:
+    def _set(self, ring: PolyRing, raw: dict, base: dict | None = None,
+             den: int | None = None) -> None:
         """Fill the slots: raw's nonzero terms, each reduced once, over base's terms."""
-        terms = _reduced(ring.domain, raw)
+        terms = _reduced(ring.domain, raw, den)
         if base:
             cancelled = raw.keys() - terms.keys()
             terms = {**base, **terms}
@@ -205,15 +216,10 @@ class Polynomial:
         if len(self.terms) * len(other.terms) > WORK_LIMIT:
             raise TooLarge(f"a product of {len(self.terms)} by {len(other.terms)} terms exceeds "
                            f"the limit of {WORK_LIMIT} term pairs")
-        zero = self.ring.domain.zero
-        out: dict[tuple[int, ...], Value] = {}
-        get = out.get
-        other_items = list(other.terms.items())
-        for ea, ca in self.terms.items():
-            for eb, cb in other_items:
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                out[exps] = get(exps, zero) + ca * cb
-        return self._from_raw(self.ring, out)
+        if self.ring.domain == QQ:  # (A/a)(B/b) = AB/ab on the integer parts A and B
+            (a, da), (b, db) = _integer_terms(self.terms), _integer_terms(other.terms)
+            return self._from_raw(self.ring, _raw_product(a, b), None, da * db)
+        return self._from_raw(self.ring, _raw_product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -221,7 +227,10 @@ class Polynomial:
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative integer")
         what = f"power {e} of a {len(self.terms)}-term polynomial"
-        digits = self._power_digits(e)
+        dom = self.ring.domain
+        # over Q the powering runs on the integer part F = D*self and divides by D^e once
+        terms, den = _integer_terms(self.terms) if dom == QQ else (self.terms, 1)
+        digits = 0 if dom.modulus else _power_digits(terms, den, e)
         if digits > DIGIT_LIMIT:
             raise TooLarge(f"{what} has coefficients of up to {digits} digits, over the limit "
                            f"of {DIGIT_LIMIT}")
@@ -231,14 +240,14 @@ class Polynomial:
         if pairs > WORK_LIMIT:
             raise TooLarge(f"{what} multiplies at least {pairs} term pairs (weighted by "
                            f"coefficient size), over the limit of {WORK_LIMIT}")
-        result = Polynomial.one(self.ring)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        result = _reduced(dom, {(0,) * self.ring.nvars: 1})
+        k = e
+        while k:
+            if k & 1:
+                result = _reduced(dom, _raw_product(result, terms))
+            terms = _reduced(dom, _raw_product(terms, terms)) if k > 1 else terms
+            k >>= 1
+        return self._from_raw(self.ring, result, None, den ** e if dom == QQ else None)
 
     def _power_term_pairs(self, e: int) -> int:
         """Term pairs that __pow__'s multiplies do, at most, or a partial sum past WORK_LIMIT.
@@ -265,19 +274,6 @@ class Polynomial:
             k *= 2
             e >>= 1
         return pairs
-
-    def _power_digits(self, e: int) -> int:
-        """Digits of the largest numerator or denominator in self**e, at most; 0 mod n.
-
-        Write self = F/D with D the lcm of the denominators: each coefficient
-        of F**e is at most (t * max |F_i|)**e in size, and D**e is a common
-        denominator.
-        """
-        if self.ring.domain.modulus or not self.terms:
-            return 0
-        d = math.lcm(*(c.denominator for c in self.terms.values()))
-        top = max(int(abs(c) * d) for c in self.terms.values())
-        return math.ceil(e * math.log10(max(len(self.terms) * top, d)))
 
     # -- calculus and evaluation ----------------------------------------------
 
@@ -327,12 +323,10 @@ class Polynomial:
         linear c*x_i, and products of powers; a power whose raw value would pass
         ~32 bits is taken mod n as it is formed, the rest once at the end."""
         m = self.ring.domain.modulus
-        over_q = self.ring.domain == QQ
-        den = math.lcm(*(c.denominator for c in self.terms.values())) if over_q else 1
+        terms, den = (_integer_terms(self.terms) if self.ring.domain == QQ
+                      else (self.terms, 1))
         const, linear, products = 0, [], []
-        for exps, c in self.terms.items():
-            if over_q:
-                c = c.numerator * (den // c.denominator)
+        for exps, c in terms.items():
             factors = [(i, e) for i, e in enumerate(exps) if e]
             if not factors:
                 const = c
@@ -376,13 +370,49 @@ class Polynomial:
         return f"<{self.ring}: {format_polynomial(self)}>"
 
 
-def _reduced(dom: Domain, raw: dict[tuple[int, ...], Value]) -> dict[tuple[int, ...], Value]:
+def _reduced(dom: Domain, raw: dict[tuple[int, ...], Value],
+             den: int | None = None) -> dict[tuple[int, ...], Value]:
     """The nonzero terms of raw, reduced once: over Z and Q sums and products
-    of canonical values are canonical already, mod n they need their residue."""
+    of canonical values are canonical already, mod n they need their residue.
+    Int numerators over a denominator den become Fractions in lowest terms."""
     m = dom.modulus
     if m:
         return {e: r for e, c in raw.items() if (r := c % m)}
+    if den == 1:
+        return {e: Fraction(c) for e, c in raw.items() if c}
+    if den:
+        return {e: Fraction(c, den) for e, c in raw.items() if c}
     return {e: c for e, c in raw.items() if c}
+
+
+def _integer_terms(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[dict, int]:
+    """(F, D) with D the lcm of the denominators of terms and F = D * terms, on ints."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _raw_product(a: Mapping, b: Mapping) -> dict:
+    """The unreduced product of two term dicts: ca*cb summed at each ea + eb."""
+    out: dict = {}
+    get = out.get
+    b_items = list(b.items())
+    for ea, ca in a.items():
+        for eb, cb in b_items:
+            exps = tuple(map(add, ea, eb))
+            out[exps] = get(exps, 0) + ca * cb
+    return out
+
+
+def _power_digits(terms: Mapping[tuple[int, ...], int], den: int, e: int) -> int:
+    """Digits of the largest numerator or denominator in (terms/den)**e, at most.
+
+    Each coefficient of F**e, for F with t int terms, is at most
+    (t * max |F_i|)**e in size, and den**e is a common denominator.
+    """
+    if not terms:
+        return 0
+    top = max(map(abs, terms.values()))
+    return math.ceil(e * math.log10(max(len(terms) * top, den)))
 
 
 def format_polynomial(f: Polynomial) -> str:

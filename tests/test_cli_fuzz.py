@@ -55,6 +55,9 @@ CAPPED_REPROS = [
     (["viv", "--field", "fp:10007", "x"], 0, 5.0, None),
     # exited 3 at the power budget of (x - 5)^10006 before the indicator's closed form
     (["prime-check", "--field", "fp:10007", "5", "7"], 0, 2.0, None),
+    # 6.6-14 s over Q while every product and power ran on Fractions
+    (["parse", "(x+y+1)^87*(x+y+1)^87"], 3, 3.0, "3916 by 3916 terms"),
+    (["parse", "(x+y+1)^87"], 0, 2.0, None),
 ]
 
 

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from ringlab import parsing, polynomials
 from ringlab.domains import Fp, QQ, Zn, ZZ
-from ringlab.errors import BadCoefficient, ParseError, UnknownVariable
+from ringlab.errors import BadCoefficient, ParseError, TooLarge, UnknownVariable
 from ringlab.parsing import MAX_NESTING, identifiers_in, parse_polynomial, tokenize
 from ringlab.polynomials import Polynomial, PolyRing
 
@@ -126,3 +128,117 @@ def test_nesting_is_capped_at_a_fixed_depth():
     with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING}") as info:
         parse_polynomial("(" + deep + ")", RQ)
     assert info.value.position == MAX_NESTING
+
+
+# -- atom folding: seeded expression trees against Polynomial arithmetic --------
+
+PARSE_DOMAINS = {"q": QQ, "z": ZZ, "fp:5": Fp(5), "zn:6": Zn(6)}
+RXYZ = {tag: PolyRing(dom, ("x", "y", "z")) for tag, dom in PARSE_DOMAINS.items()}
+
+
+def _atom(rng, ring):
+    """(text, value) of a nat, a nat/nat that means something in ring, or a variable."""
+    dom, kind = ring.domain, rng.choice(("nat", "frac", "var", "var"))
+    if kind == "var":
+        name = rng.choice(ring.variables)
+        return name, Polynomial.variable(ring, name)
+    if kind == "nat":
+        n = rng.choice((0, 1, 2, 3, 7, 12, 10 ** 30 + 1))
+        return str(n), Polynomial.constant(ring, n)
+    den = rng.choice({QQ: (1, 2, 6, 10 ** 30), ZZ: (1, 2, 3), Fp(5): (1, 2, 3, 4, 7),
+                      Zn(6): (1, 5, 7, 11)}[dom])
+    num = den * rng.randint(0, 5) if dom == ZZ else rng.randint(0, 40)
+    value = (Fraction(num, den) if dom == QQ else num // den if dom == ZZ
+             else num * pow(den, -1, dom.modulus))
+    return f"{num}/{den}", Polynomial.constant(ring, value)
+
+
+def _factor(rng, ring, depth, signed):
+    """'-'? base ('^' nat)?, base an atom or a parenthesized expression."""
+    if depth and rng.random() < 0.3:
+        text, value = _expr(rng, ring, depth - 1)
+        text = f"({text})"
+    else:
+        text, value = _atom(rng, ring)
+    if rng.random() < 0.3:
+        e = rng.randint(0, 3)
+        text, value = f"{text}^{e}", value ** e
+    if signed and rng.random() < 0.3:
+        text, value = f"-{text}", -value
+    return text, value
+
+
+def _term(rng, ring, depth):
+    text, value = _factor(rng, ring, depth, signed=True)
+    for _ in range(rng.randint(0, 4)):
+        star = rng.random() < 0.5
+        right, v = _factor(rng, ring, depth, signed=star)
+        if star:
+            sep = rng.choice(("*", " * "))
+        else:  # juxtaposition: glue only where the tokens cannot run together
+            glued = text[-1] in "0123456789)" and right[0] in "xyz("
+            sep = rng.choice(("", " ")) if glued else " "
+        text, value = f"{text}{sep}{right}", value * v
+    return text, value
+
+
+def _expr(rng, ring, depth):
+    text, value = _term(rng, ring, depth)
+    for _ in range(rng.randint(0, 2)):
+        right, v = _term(rng, ring, depth)
+        if rng.random() < 0.5:
+            text, value = f"{text} + {right}", value + v
+        else:
+            text, value = f"{text} - {right}", value - v
+    return text, value
+
+
+@pytest.mark.parametrize("tag", sorted(PARSE_DOMAINS))
+def test_parsed_text_equals_the_tree_built_with_polynomial_arithmetic(tag):
+    rng, ring = random.Random(f"parse trees {tag}"), RXYZ[tag]
+    for _ in range(400):
+        text, value = _expr(rng, ring, depth=2)
+        assert parse_polynomial(text, ring) == value, text
+
+
+@pytest.mark.parametrize("tag, text, error, position", [
+    ("q", "2*x*w", UnknownVariable, 4),
+    ("q", "x y w^2", UnknownVariable, 4),
+    ("q", "3x -w", UnknownVariable, 4),
+    ("q", "x^", ParseError, 2),
+    ("q", "2 x^ + 1", ParseError, 5),
+    ("q", "x*y^*2", ParseError, 4),
+    ("q", "x^y", ParseError, 2),
+    ("q", "x*-", ParseError, 3),
+    ("q", "x*y*", ParseError, 4),
+    ("q", "2/x", ParseError, 2),
+    ("q", "1/0", BadCoefficient, 2),
+    ("q", "3x*1/0", BadCoefficient, 5),
+    ("q", "x 2/0^2", BadCoefficient, 4),
+    ("z", "1/2", BadCoefficient, 2),
+    ("z", "x*4/2*1/2", BadCoefficient, 8),
+    ("z", "6/3x + 1/2y", BadCoefficient, 9),
+    ("fp:5", "1/5", BadCoefficient, 2),
+    ("fp:5", "2 x 1/5", BadCoefficient, 6),
+    ("fp:5", "x*-3/10", BadCoefficient, 5),
+    ("zn:6", "x 1/5 y 1/3", BadCoefficient, 10),
+])
+def test_a_folded_run_raises_the_error_of_its_first_bad_atom(tag, text, error, position):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, RXYZ[tag])
+    assert type(info.value) is error and info.value.position == position
+
+
+@pytest.mark.parametrize("text", ["0*(x+y+1)^60*(x+y+1)^60", "(x+y+1)^60*0*(x+y+1)^60"])
+def test_a_zero_atom_zeroes_the_product_before_the_next_factor(text):
+    # multiplied in where its run ends, the 0 leaves 0 by 1891 terms, not 1891 by 1891
+    assert parse_polynomial(text, RQ).is_zero
+
+
+def test_past_the_work_limit_an_atom_after_a_wide_factor_is_refused_first(monkeypatch):
+    # one product per factor refuses (x + y + 1) * x before it reads 1/0
+    monkeypatch.setattr(polynomials, "WORK_LIMIT", 2)
+    monkeypatch.setattr(parsing, "WORK_LIMIT", 2)
+    with pytest.raises(TooLarge, match="a product of 3 by 1 terms"):
+        parse_polynomial("(x + y + 1)*x*1/0", RQ)
+    assert parse_polynomial("(x + y + 1)*0*x*y", RQ).is_zero

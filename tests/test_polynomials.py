@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ringlab.domains import Fp, QQ, RingElement, Zn, ZZ
 from ringlab.errors import DomainMismatch, NotUnivariate, RingMismatch, TooLarge, ZeroPolynomial
+from ringlab import polynomials
 from ringlab.parsing import parse_polynomial
 from ringlab.polyideals import (
     IdealPresentation,
@@ -189,9 +190,9 @@ def test_trusted_builders_store_only_nonzero_canonical_terms(builder, monkeypatc
     ("x", RQ1), ("7", RQ2), ("0", RQ2), ("x + y + z", PolyRing(Fp(2), ("x", "y", "z")))])
 def test_power_term_pair_estimate_bounds_the_multiplies_done(text, ring, monkeypatch):
     f = parse_polynomial(text, ring)
-    mul, pairs = Polynomial.__mul__, []
-    monkeypatch.setattr(Polynomial, "__mul__",
-                        lambda a, b: pairs.append(len(a.terms) * len(b.terms)) or mul(a, b))
+    mul, pairs = polynomials._raw_product, []  # the one term-pair loop behind * and **
+    monkeypatch.setattr(polynomials, "_raw_product",
+                        lambda a, b: pairs.append(len(a) * len(b)) or mul(a, b))
     for e in range(16):
         pairs.clear()
         f ** e
@@ -212,6 +213,7 @@ def test_power_term_pair_estimate_bounds_the_multiplies_done(text, ring, monkeyp
 def test_power_past_a_limit_raises_before_multiplying(text, ring, e, message, monkeypatch):
     f = parse_polynomial(text, ring)
     monkeypatch.setattr(Polynomial, "__mul__", None)  # any multiply would fail
+    monkeypatch.setattr(polynomials, "_raw_product", None)
     with pytest.raises(TooLarge, match=re.escape(message)):
         f ** e
 
@@ -655,3 +657,73 @@ def test_zero_divisors_characteristic_p_and_cancellation():
         f = Polynomial(ring, {(1,) + (0,) * (ring.nvars - 1): 5, (0,) * ring.nvars: -2})
         assert (f - f).terms == {} and (f + (-f)).terms == {}
         assert Polynomial(ring, {(0,) * ring.nvars: ring.domain.modulus or 0}).is_zero
+
+
+# -- products and powers on integer numerators, against dict-of-Fractions arithmetic:
+# over Q the oracle multiplies one Fraction per term pair
+
+MUL_POW_DOMAINS = [QQ, ZZ, Fp(7), Zn(12)]
+
+
+def _oracle_pow(f, e, nvars):
+    out = {(0,) * nvars: 1}
+    for _ in range(e):
+        out = _oracle_mul(out, f)
+    return out
+
+
+def _wide_coefficient(rng, rational):
+    size = rng.choice((10, 10 ** 30))
+    num = rng.randint(-size, size)
+    return Fraction(num, rng.choice((1, 6, rng.randint(1, 10 ** 30)))) if rational else num
+
+
+def _operand(rng, nvars, rational, most=5):
+    return {tuple(rng.randint(0, 3) for _ in range(nvars)): _wide_coefficient(rng, rational)
+            for _ in range(rng.randint(0, most))}
+
+
+def _assert_lowest_terms(p):
+    _assert_canonical(p)
+    if p.ring.domain == QQ:
+        assert all(c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+                   for c in p.terms.values())
+
+
+@pytest.mark.parametrize("dom", MUL_POW_DOMAINS, ids=str)
+def test_products_and_powers_match_fraction_dict_arithmetic(dom):
+    rng = random.Random(f"integer parts {dom}")
+    for _ in range(120):
+        nvars = rng.randint(1, 3)
+        ring = PolyRing(dom, ("x", "y", "z")[:nvars])
+        f_raw, g_raw = (_operand(rng, nvars, dom == QQ) for _ in range(2))
+        if rng.random() < 0.2:  # a constant, or the zero polynomial when the draw is 0
+            g_raw = {(0,) * nvars: _wide_coefficient(rng, dom == QQ)}
+        f, g = Polynomial(ring, f_raw), Polynomial(ring, g_raw)
+        got = f * g
+        _assert_lowest_terms(got)
+        assert got.terms == _oracle(dom, _oracle_mul(f_raw, g_raw))
+        small = _operand(rng, nvars, dom == QQ, most=3)
+        for base_raw, e in ((small, rng.randint(0, 5)), (f_raw, 0), (f_raw, 1), (g_raw, 2)):
+            got = Polynomial(ring, base_raw) ** e
+            _assert_lowest_terms(got)
+            assert got.terms == _oracle(dom, _oracle_pow(base_raw, e, nvars))
+
+
+@pytest.mark.parametrize("dom", MUL_POW_DOMAINS, ids=str)
+def test_cancelling_terms_and_contents_leave_reduced_coefficients(dom):
+    ring = PolyRing(dom, ("x", "y"))
+    x, y = Polynomial.variable(ring, "x"), Polynomial.variable(ring, "y")
+    square = {(2, 0): 1, (0, 2): dom.modulus - 1 if dom.modulus else -1}
+    assert ((x + y) * (x - y)).terms == square  # the xy terms cancel
+    assert ((x - y) ** 2 - x ** 2 - y ** 2 + 2 * x * y).is_zero
+    if dom == QQ:  # (x/6)(3y) = xy/2: the contents cancel down to lowest terms
+        sixth = Polynomial(ring, {(1, 0): Fraction(1, 6)})
+        got = sixth * Polynomial(ring, {(0, 1): 3})
+        assert got.terms == {(1, 1): Fraction(1, 2)} and got.terms[(1, 1)].denominator == 2
+        assert ((Polynomial(ring, {(1, 0): Fraction(2, 3), (0, 0): Fraction(3, 4)})) ** 2).terms \
+            == {(2, 0): Fraction(4, 9), (1, 0): 1, (0, 0): Fraction(9, 16)}
+        assert (sixth * Polynomial(ring, {(0, 0): 6}) - x).is_zero
+    if dom == Zn(12):  # 4 * 3 = 0 and 6^2 = 0 in Z/12
+        assert (Polynomial(ring, {(1, 0): 4}) * Polynomial(ring, {(0, 1): 3})).is_zero
+        assert (Polynomial(ring, {(1, 0): 6, (0, 0): 6}) ** 2).is_zero
