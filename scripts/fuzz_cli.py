@@ -89,7 +89,9 @@ _BASE = st.recursive(st.one_of(_COEFF, st.sampled_from(NAMES)),
 EXPRESSIONS = st.one_of(
     _expr(_BASE),
     st.integers(90, 150).map(lambda k: "(" * k + "x" + ")" * k),  # deep nesting
-    st.text(alphabet="xyz0123+-*/^() $#.,;", max_size=12),           # stray tokens
+    # stray tokens, with a superscript two, a vulgar half, an Arabic-Indic three, a letter
+    # outside ASCII and a no-break space
+    st.text(alphabet="xyz0123+-*/^() $#.,;\u00b2\u00bd\u0663\u00e9\u00a0", max_size=12),
 )
 _COORD = st.one_of(st.integers(-3, 12), st.sampled_from((10 ** 9, -10 ** 20)))
 _BAD_POINT = st.sampled_from(("0,a", "", ",", "1,,2", "0;1", "0,0,0,0"))

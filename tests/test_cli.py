@@ -277,6 +277,11 @@ def test_exit_code_one_for_syntax_and_usage():
     assert code == 1
     code, out, err = invoke("parse", "--format", "svg", "x")
     assert code == 1  # svg only makes sense for plot
+    # str.isdigit takes superscripts that int() refuses; a nat is decimal digits
+    for argv in (["parse", "\u00b2"], ["parse", "--vars", "x", "x+\u00b9"],
+                 ["variety", "--field", "fp:5", "x+\u00b2"]):
+        code, out, err = invoke(*argv)
+        assert code == 1 and out == "" and err.count("\n") == 1, argv
 
 
 def test_exit_code_two_for_domain_errors():

@@ -7,7 +7,7 @@ from ringlab import parsing, polynomials
 from ringlab.domains import Fp, QQ, Zn, ZZ
 from ringlab.errors import BadCoefficient, ParseError, TooLarge, UnknownVariable
 from ringlab.parsing import MAX_NESTING, identifiers_in, parse_polynomial, tokenize
-from ringlab.polynomials import Polynomial, PolyRing
+from ringlab.polynomials import Polynomial, PolyRing, format_polynomial
 
 RQ = PolyRing(QQ, ("x", "y"))
 RQ1 = PolyRing(QQ, ("x",))
@@ -95,6 +95,10 @@ def test_identifier_munches_digits():
     ("x + * y", 4),
     ("", 0),
     ("x $ y", 2),
+    ("\u00b2", 0),
+    ("x+\u00b9", 2),
+    ("x \u00bd", 2),
+    ("x\u00b2", 1),
 ])
 def test_syntax_error_positions(text, pos):
     with pytest.raises(ParseError) as exc:
@@ -132,7 +136,8 @@ def test_nesting_is_capped_at_a_fixed_depth():
 
 # -- atom folding: seeded expression trees against Polynomial arithmetic --------
 
-PARSE_DOMAINS = {"q": QQ, "z": ZZ, "fp:5": Fp(5), "zn:6": Zn(6)}
+PARSE_DOMAINS = {"q": QQ, "z": ZZ, "fp:5": Fp(5), "zn:6": Zn(6), "zn:1": Zn(1),
+                 "fp:2147483647": Fp(2147483647)}
 RXYZ = {tag: PolyRing(dom, ("x", "y", "z")) for tag, dom in PARSE_DOMAINS.items()}
 
 
@@ -146,7 +151,8 @@ def _atom(rng, ring):
         n = rng.choice((0, 1, 2, 3, 7, 12, 10 ** 30 + 1))
         return str(n), Polynomial.constant(ring, n)
     den = rng.choice({QQ: (1, 2, 6, 10 ** 30), ZZ: (1, 2, 3), Fp(5): (1, 2, 3, 4, 7),
-                      Zn(6): (1, 5, 7, 11)}[dom])
+                      Zn(6): (1, 5, 7, 11), Zn(1): (1, 2, 6),
+                      Fp(2147483647): (1, 2, 10 ** 30, 2 ** 31)}[dom])
     num = den * rng.randint(0, 5) if dom == ZZ else rng.randint(0, 40)
     value = (Fraction(num, den) if dom == QQ else num // den if dom == ZZ
              else num * pow(den, -1, dom.modulus))
@@ -242,3 +248,74 @@ def test_past_the_work_limit_an_atom_after_a_wide_factor_is_refused_first(monkey
     with pytest.raises(TooLarge, match="a product of 3 by 1 terms"):
         parse_polynomial("(x + y + 1)*x*1/0", RQ)
     assert parse_polynomial("(x + y + 1)*0*x*y", RQ).is_zero
+
+
+# -- the tokenizer against the character loop it replaced -----------------------
+
+
+def _loop_tokenize(text):
+    """The per-character tokenizer the compiled regex replaced, on ASCII text."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*/^()":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j - i > polynomials.DIGIT_LIMIT:
+                raise TooLarge(f"a {j - i}-digit number at position {i} exceeds the limit of "
+                               f"{polynomials.DIGIT_LIMIT} digits")
+            tokens.append(("nat", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (text[j].isalpha() or text[j].isdigit()):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i, ch)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except (ParseError, TooLarge) as exc:  # a ParseError's text leads with its position
+        return type(exc), str(exc)
+
+
+def _triples(text):
+    return [(tok.kind, tok.text, tok.pos) for tok in tokenize(text)]
+
+
+def test_tokenize_matches_the_character_loop_on_random_ascii():
+    rng = random.Random("tokenize ascii")
+    alphabet = "xyzab_019+-*/^() \t\n\r\x0b\x0c$#.,;'\"\\~`!@%&=[]{}<>?|:\x00\x7f"
+    long_nat = "7" * polynomials.DIGIT_LIMIT
+    for _ in range(3000):
+        parts = [rng.choice(alphabet) for _ in range(rng.randint(0, 24))]
+        if rng.random() < 0.02:
+            parts.insert(rng.randint(0, len(parts)), long_nat + "7" * rng.randint(0, 1))
+        text = "".join(parts)
+        assert _tokens_or_error(_triples, text) == _tokens_or_error(_loop_tokenize, text), text
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("\u0663x", "3*x"),                        # an Arabic-Indic digit three is a decimal digit
+    ("x\u00a0+\u00a01", "x + 1"),             # a no-break space is whitespace
+    ("2\u0663/1\u0660", "23/10"),
+])
+def test_a_nat_is_a_run_of_decimal_digits(text, expected):
+    assert format_polynomial(parse_polynomial(text, RQ1)) == expected
