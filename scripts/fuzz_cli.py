@@ -107,8 +107,9 @@ FLAG_VALUES = {
     "field": FIELDS,
     "bound": st.one_of(st.integers(0, 6).map(str), st.sampled_from(("12", "1000", "-1", "x", ""))),
     "window": st.sampled_from(("-2:2,-2:2", "0:1,0:1", "1:1,0:1", "-1/2:3,0:2", "0:1e5000,0:1",
-                               "a", "0:1", "0:1/0,0:1")),
-    "res": st.sampled_from(("1", "8", "16", "64", "8x4", "0", "100000", "x", "3x")),
+                               "a", "0:1", "0:1/0,0:1", "-1/3:2/7,-5/11:3/13",
+                               "-1/997:1/991,-1/10007:1/10009")),
+    "res": st.sampled_from(("1", "8", "16", "64", "8x4", "0", "100000", "x", "3x", "33x17")),
 }
 INTS = st.one_of(st.integers(-5, 400).map(str),
                  st.sampled_from((str(10 ** 12), str(2 ** 89 - 1), "1" + "0" * 5000)))

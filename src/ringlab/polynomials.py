@@ -292,20 +292,21 @@ class Polynomial:
         """
         if len(point) != self.ring.nvars:
             raise DomainMismatch(f"expected {self.ring.nvars} coordinates, got {len(point)}")
-        dom = self.ring.domain
-        coords = []
+        dom = out = self.ring.domain
+        over_z, canon, coords = dom == ZZ, dom.canon, []
         for x in point:
             if isinstance(x, RingElement):
-                if x.domain != dom and not (dom == ZZ and x.domain == QQ):
+                if x.domain != dom and not (over_z and x.domain == QQ):
                     raise DomainMismatch(f"point coordinate in {x.domain}, expected {dom}")
-                coords.append(x.value)
-            else:
-                coords.append(x)
-        if dom == ZZ and any(isinstance(x, Fraction) and x.denominator != 1 for x in coords):
-            dom = QQ
+                x = x.value
+            # a rational coordinate lifts the point into Q, where the ints before it stay exact
+            if (over_z and out is dom and type(x) is not int and isinstance(x, Fraction)
+                    and x.denominator != 1):
+                out, canon = QQ, QQ.canon
+            coords.append(canon(x))
         kernel, den = self._evaluator or self._build_evaluator()
-        value = kernel(tuple(dom.canon(x) for x in coords))
-        return RingElement.trusted(dom, Fraction(value, den) if dom == QQ else value)
+        value = kernel(coords)
+        return RingElement.trusted(out, Fraction(value, den) if out == QQ else value)
 
     def evaluator(self) -> Callable[[tuple], Value]:
         """The evaluation kernel: raw canonical coordinates -> a value that is zero

@@ -8,14 +8,18 @@ interior without touching a corner sign; that is the documented price of
 exactness.
 
 The signs come from one integer kernel per corner row, not from a
-Fraction evaluation per corner.  Write f = sum_k c_k(y) x^k; on row y_i
-the c_k(y_i) are exact rationals, and substituting x = xmin + j*dx turns
-the row into a polynomial in the column index, h_i(j) = sum_m b_m j^m (a
-Taylor shift).  Clearing the denominators of the shift coefficients once
-and of the c_k(y_i) once per row multiplies every b_m by the same positive
-integer, which gives integers B_m with the sign of h_i(j) at every j.  So
-Horner on plain ints over j = 0..cols yields exactly the signs that
-evaluating f with Fractions would, zeros included.
+Fraction evaluation per corner.  Write f = sum_k c_k(y) x^k, let L be the
+lcm of f's coefficient denominators and d its largest y-degree, and write
+row y_i = ymax - i*dy as (a - i*b)/q on ints.  The homogenized
+C_k(t, y) = sum_e L*c_{k,e} t^(d-e) y^e has integer coefficients and
+C_k(q, a - i*b) = L*q^d*c_k(y_i), so each row's coefficients are plain
+ints.  Substituting x = xmin + j*dx turns the row into a polynomial in
+the column index, h_i(j) = sum_m b_m j^m (a Taylor shift), whose
+coefficients are cleared to ints over one denominator den once per
+raster.  Every row value is then L*q^d*den times f's value: one positive
+multiple, the same at every corner, so every sign survives.  Horner on
+plain ints over j = 0..cols yields exactly the signs that evaluating f
+with Fractions would, zeros included.
 """
 
 from __future__ import annotations
@@ -29,9 +33,11 @@ from typing import Iterator
 from .domains import QQ, ZZ
 from .errors import DegenerateWindow, NotBivariate, TooLarge, UnsupportedDomain, ZeroPolynomial
 from .polyideals import SCAN_LIMIT
-from .polynomials import Polynomial
+from .polynomials import Polynomial, PolyRing, _integer_terms
 
 Window = tuple[Fraction, Fraction, Fraction, Fraction]  # xmin, xmax, ymin, ymax
+# the homogenized y-coefficients C_k(t, y) of a curve, evaluated at (q, a - i*b) per row
+_ROW_RING = PolyRing(ZZ, ("t", "y"))
 
 
 @dataclass(frozen=True)
@@ -45,24 +51,6 @@ class RasterGrid:
 
     def marked(self) -> list[tuple[int, int]]:
         return [(r, c) for r in range(self.rows) for c in range(self.cols) if self.cells[r][c]]
-
-    def cells_containing(self, x, y) -> list[tuple[int, int]]:
-        """All cells whose closed rectangle contains the point."""
-        xmin, xmax, ymin, ymax = self.window
-        dx = (xmax - xmin) / self.cols
-        dy = (ymax - ymin) / self.rows
-        x, y = Fraction(x), Fraction(y)
-        out = []
-        for r in range(self.rows):
-            y_hi = ymax - r * dy
-            y_lo = y_hi - dy
-            if not (y_lo <= y <= y_hi):
-                continue
-            for c in range(self.cols):
-                x_lo = xmin + c * dx
-                if x_lo <= x <= x_lo + dx:
-                    out.append((r, c))
-        return out
 
 
 def raster_plane_curve(f: Polynomial, window: Window, cols: int, rows: int) -> RasterGrid:
@@ -104,12 +92,18 @@ def corner_signs(f: Polynomial, window: Window, cols: int, rows: int) -> Iterato
     dx = (xmax - xmin) / cols
     dy = (ymax - ymin) / rows
 
-    # f = sum_k c_k(y) x^k over the k with c_k != 0, each c_k a polynomial in y alone
+    # y_i = ymax - i*dy = (a - i*b)/q on ints
+    q = lcm(ymax.denominator, dy.denominator)
+    a, b = ymax.numerator * (q // ymax.denominator), dy.numerator * (q // dy.denominator)
+
+    # L*f = sum_k x^k sum_e L*c_{k,e} y^e; C_k homogenizes the inner sum to degree d in (t, y)
+    terms, _ = _integer_terms(f.terms)
+    d = max(ey for _, ey in terms)
     parts: dict[int, dict] = {}
-    for (ex, ey), c in f.terms.items():
-        parts.setdefault(ex, {})[(0, ey)] = c
+    for (ex, ey), c in terms.items():
+        parts.setdefault(ex, {})[(d - ey, ey)] = c
     ks = sorted(parts)
-    coeffs = [Polynomial._from_raw(f.ring, parts[k]) for k in ks]
+    coeffs = [Polynomial._from_raw(_ROW_RING, parts[k]) for k in ks]
     # h(j) = f(xmin + j*dx, y) = sum_m b_m j^m with b_m = sum_k shift[m][k] c_k(y),
     # shift[m][k] = C(k,m) xmin^(k-m) dx^m, kept as ints over one denominator
     shift = [[comb(k, m) * xmin ** (k - m) * dx ** m if k >= m else 0 for k in ks]
@@ -119,10 +113,9 @@ def corner_signs(f: Polynomial, window: Window, cols: int, rows: int) -> Iterato
 
     js = range(cols + 1)
     for i in range(rows + 1):
-        cy = [c.evaluate((0, ymax - i * dy)).value for c in coeffs]
-        scale = lcm(*(v.denominator for v in cy))
-        cy = [v.numerator * (scale // v.denominator) for v in cy]
-        # B_m = den * scale * b_m: a positive multiple, so every sign survives
+        point = (q, a - i * b)
+        cy = [c.evaluate(point).value for c in coeffs]  # L*q^d*c_k(y_i)
+        # B_m = L*q^d*den*b_m: a positive multiple, so every sign survives
         ints = [sum(t * c for t, c in zip(row, cy)) for row in shift]
         vals = [ints[-1]] * (cols + 1)
         for coeff in reversed(ints[:-1]):

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
+from conftest import cells_containing
 from ringlab.axioms import all_triples, check_ring_axioms, random_rational_triples
 from ringlab.domains import Fp, QQ, Zn, is_prime
 from ringlab.intideals import (
@@ -429,14 +430,14 @@ def test_criterion_12_plane_curve_figure():
         grid = raster_plane_curve(f, window, 64, 64)
 
         for point in ((0, 0), (-1, 0)):
-            cells = grid.cells_containing(*point)
+            cells = cells_containing(grid, *point)
             assert cells and all(grid.cells[r][c] for r, c in cells)
 
         # connected marked region through the origin
         from collections import deque
 
         marked = set(grid.marked())
-        start = grid.cells_containing(0, 0)[0]
+        start = cells_containing(grid, 0, 0)[0]
         seen = {start}
         queue = deque([start])
         while queue:
@@ -447,7 +448,7 @@ def test_criterion_12_plane_curve_figure():
                     if nb in marked and nb not in seen:
                         seen.add(nb)
                         queue.append(nb)
-        assert all(cell in seen for cell in grid.cells_containing(-1, 0))
+        assert all(cell in seen for cell in cells_containing(grid, -1, 0))
         assert seen == marked  # one component: the node joins loop and branches
 
         golden = (DATA / "nodal_cubic_64.txt").read_text()

@@ -58,6 +58,8 @@ CAPPED_REPROS = [
     # 6.6-14 s over Q while every product and power ran on Fractions
     (["parse", "(x+y+1)^87*(x+y+1)^87"], 3, 3.0, "3916 by 3916 terms"),
     (["parse", "(x+y+1)^87"], 0, 2.0, None),
+    # sparse high y-degree rows: 3.2 s while each row evaluated its c_k(y) on Fractions
+    (["plot", "--res", "999", "--window", "-1/3:2/7,-5/11:3/13", "y^900 - x"], 0, 4.0, None),
 ]
 
 

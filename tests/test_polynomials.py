@@ -441,10 +441,12 @@ def test_evaluate_integer_polynomial_at_fractions_lands_in_q():
     for _ in range(100):
         terms = _random_terms(rng, 2, False)
         point = (rng.randint(-9, 9) + Fraction(1, rng.randint(2, 5)), Fraction(rng.randint(-9, 9)))
-        for pt in (point, tuple(RingElement(QQ, x) for x in point)):
+        late = (rng.randint(-9, 9), point[0])  # the coordinate that lifts the point comes last
+        for pt, raw in ((point, point), (tuple(RingElement(QQ, x) for x in point), point),
+                        (late, late), ((ZZ.element(late[0]), RingElement(QQ, late[1])), late)):
             value = Polynomial(ring, terms).evaluate(pt)
             assert value.domain == QQ and isinstance(value.value, Fraction)
-            assert value.value == _plain_value(terms, point, None)
+            assert value.value == _plain_value(terms, raw, None)
 
 
 # -- the evaluation kernel against a plain-dict oracle ---------------------------

@@ -1,9 +1,11 @@
+import math
 import random
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import cells_containing
 
 from ringlab.domains import Fp, QQ, ZZ
 from ringlab.errors import (
@@ -61,17 +63,17 @@ def test_positive_definite_curve_marks_nothing():
 def test_nodal_cubic_marks_its_singular_points():
     grid = raster_plane_curve(nodal_cubic(), SQUARE, 64, 64)
     for point in ((0, 0), (-1, 0)):
-        cells = grid.cells_containing(*point)
+        cells = cells_containing(grid, *point)
         assert cells, f"no cell contains {point}"
         assert all(grid.cells[r][c] for r, c in cells)
 
 
 def test_nodal_cubic_connected_through_origin():
     grid = raster_plane_curve(nodal_cubic(), SQUARE, 64, 64)
-    origin_cell = grid.cells_containing(0, 0)[0]
+    origin_cell = cells_containing(grid, 0, 0)[0]
     comp = component_of(grid, origin_cell)
     # the loop reaches (-1, 0) and both branches leave through top and bottom
-    assert all(cell in comp for cell in grid.cells_containing(-1, 0))
+    assert all(cell in comp for cell in cells_containing(grid, -1, 0))
     assert any(r == 0 for r, _ in comp)
     assert any(r == grid.rows - 1 for r, _ in comp)
     assert len(comp) == len(grid.marked())
@@ -217,3 +219,42 @@ def test_row_kernel_matches_without_x_terms_without_y_terms_and_for_constants(ri
     for text in ("5", "-2"):
         grid = raster_plane_curve(parse_polynomial(text, ring), window, 7, 5)
         assert grid.marked() == []
+
+
+# sparse high y-degree curves: the row kernel evaluates each homogenized c_k(y) at
+# (q, a - i*b), so these stress q^d and the degree gaps between its terms
+SPARSE_CURVES = ["y^40 - x", "x^3*y^17 - 2/3", "x*y^25 + y^24 - 1/7"]
+NARROW = (Fraction(-1, 997), Fraction(1, 991))
+COPRIME = (Fraction(-5, 11), Fraction(3, 13))
+WIDE = (Fraction(-3, 2), Fraction(7, 5))
+
+
+def over(ring, text):
+    """The curve over Q, or its denominators cleared over Z."""
+    f = parse_polynomial(text, RQ2)
+    if ring is RQ2:
+        return f
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    return Polynomial(RZ2, {e: c * den for e, c in f.terms.items()})
+
+
+@pytest.mark.parametrize("ring", [RQ2, RZ2], ids=["q", "z"])
+@pytest.mark.parametrize("text", SPARSE_CURVES)
+@pytest.mark.parametrize("res", [(6, 2), (2, 2), (9, 7)])
+def test_row_kernel_matches_on_sparse_high_degree_curves(ring, text, res):
+    f = over(ring, text)
+    for xs, ys in ((NARROW, COPRIME), (COPRIME, NARROW), (WIDE, COPRIME), (NARROW, WIDE),
+                   ((Fraction(-1, 10007), Fraction(1, 10009)), NARROW)):
+        assert_matches_oracle(f, xs + ys, *res)
+
+
+def test_rows_evaluate_integer_coefficients_at_integer_points(monkeypatch):
+    evaluate, seen = Polynomial.evaluate, []
+    monkeypatch.setattr(Polynomial, "evaluate",
+                        lambda g, point: seen.append((g, point)) or evaluate(g, point))
+    f = parse_polynomial("x*y^25 + y^24 - 1/7", RQ2)
+    list(corner_signs(f, COPRIME + NARROW, 5, 3))
+    assert len(seen) == 4 * 2  # each x-coefficient once on each of the 4 corner rows
+    for g, point in seen:
+        assert g.ring.domain == ZZ and all(type(c) is int for c in g.terms.values())
+        assert all(type(v) is int for v in point)
