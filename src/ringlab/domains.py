@@ -352,11 +352,6 @@ class ModHomomorphism:
     def __call__(self, r: int) -> RingElement:
         return self.apply(r)
 
-    def kernel_contains(self, r: int) -> bool:
-        if self.modulus == 0:
-            return r == 0
-        return r % self.modulus == 0
-
 
 @dataclass(frozen=True)
 class HomReport:

@@ -141,10 +141,6 @@ class PrimeDefinitionVerdict:
     def_direct: bool
     def_quotient: bool
 
-    @property
-    def agree(self) -> bool:
-        return self.def_direct == self.def_quotient
-
 
 def prime_defs_agree(n: int, ideal: ZnIdeal) -> PrimeDefinitionVerdict:
     """Evaluate primality of an ideal of Z/n under both definitions.

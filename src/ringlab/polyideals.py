@@ -18,11 +18,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
-from operator import add
+from operator import add, mod, mul
 from typing import Iterator, Sequence
 
-from .domains import QQ, Domain, RingElement, Value
+from .domains import QQ, ZZ, Domain, RingElement, Value
 from .errors import (
     InseparableCase,
     NotEnoughVariables,
@@ -33,7 +34,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .linalg import solve_mod_p, solve_rational
-from .polynomials import WORK_LIMIT, Polynomial, PolyRing, monomials_up_to
+from .polynomials import WORK_LIMIT, Polynomial, PolyRing, _integer_terms, monomials_up_to
 
 RATIONAL_GRID_SPAN = 5
 MATRIX_CELL_LIMIT = 10_000_000  # rows x columns of one membership matrix
@@ -188,19 +189,86 @@ def common_zeros(ideal: IdealPresentation) -> Iterator[tuple[RingElement, ...]]:
     """The points of the scan where every generator vanishes, in scan order.
 
     The scan is all of F_p^n (under the scan limit), or the integer grid over Q.
-    It runs on raw ints and stops at the first generator that is nonzero, so
-    each of the p (or 11) values is wrapped once per scan, not once per hit.
+    The first generator's zeros are constructed fibre by fibre (``_fibre_zeros``)
+    when it has at most as many distinct degrees in x_n as the scan has values and
+    their power columns fit 4 * SCAN_LIMIT slots; otherwise it filters the plain
+    product scan through its kernel, as the other generators filter the hits.
+    Everything runs on raw ints, and a value is wrapped in a ring element the
+    first time a hit uses it.
     """
     dom, n = ideal.ring.domain, ideal.ring.nvars
     grid = range(-RATIONAL_GRID_SPAN, RATIONAL_GRID_SPAN + 1)
     values = grid if dom == QQ else range(dom.modulus)
     check_scan_size(len(values), n)
-    points: Iterator[tuple[int, ...]] = itertools.product(values, repeat=n)
-    for g in ideal.generators:
+    gens = ideal.generators
+    degrees = len({exps[-1] for exps in gens[0].terms} - {0}) if gens else math.inf
+    if degrees <= len(values) and degrees * len(values) <= 4 * SCAN_LIMIT:
+        points, gens = _fibre_zeros(gens[0], values), gens[1:]
+    else:
+        points = itertools.product(values, repeat=n)
+    for g in gens:
         points = itertools.filterfalse(g.evaluator(), points)
-    wrap = {v: dom.element(v) for v in values}.__getitem__
+    wrap = _Elements(dom.element).__getitem__
     for point in points:
         yield tuple(map(wrap, point))
+
+
+class _Elements(dict):
+    """Scan value -> its ring element, made on first lookup; a hit is a C-level get."""
+
+    def __init__(self, element):
+        self.element = element
+
+    def __missing__(self, v):
+        self[v] = e = self.element(v)
+        return e
+
+
+def _fibre_zeros(g: Polynomial, values: range) -> Iterator[tuple[int, ...]]:
+    """The zeros of g over values^n in lex order, found in the last coordinate.
+
+    Split g = sum_k c_k(x_1..x_{n-1}) x_n^k, over Q on the ints of D*g.  Over a
+    prefix x_1..x_{n-1}, x_n = values[i] is a zero exactly when column[i] is
+    -c_0(prefix) (mod p), where column[i] = sum_{k>=1} c_k(prefix) values[i]^k.
+    A column depends only on the higher coefficients, so it is built once per
+    distinct tuple of them and looked up for every prefix that repeats it
+    (the extension step of elimination; Cox, Little & O'Shea, ch. 3).
+    """
+    ring, m = g.ring, g.ring.domain.modulus
+    terms = g.terms if m else _integer_terms(g.terms)[0]
+    coeff_ring = ring if m else PolyRing(ZZ, ring.variables)
+    split: dict[int, dict] = {}
+    for exps, c in terms.items():
+        split.setdefault(exps[-1], {})[exps[:-1] + (0,)] = c
+    c0 = Polynomial._from_raw(coeff_ring, split.pop(0, {})).evaluator()
+    degrees = sorted(split)
+    highs = [Polynomial._from_raw(coeff_ring, split[k]).evaluator() for k in degrees]
+    powers = [map(pow, values, itertools.repeat(k), itertools.repeat(m)) for k in degrees]
+    powers = [array("q", power) if m else list(power) for power in powers]  # v^k (mod p)
+    columns: dict[tuple, array | list] = {}
+    for prefix in itertools.product(values, repeat=ring.nvars - 1):
+        key = tuple([c(prefix) for c in highs])
+        column = columns.get(key)
+        if column is None:
+            column = columns[key] = _column(key, powers, m, len(values))
+        target, start = -c0(prefix) % m if m else -c0(prefix), 0
+        while True:
+            try:
+                i = column.index(target, start)
+            except ValueError:
+                break
+            yield prefix + (values[i],)
+            start = i + 1
+
+
+def _column(key: tuple, powers: list, m: int | None, size: int) -> array | list:
+    """sum_k key[k] * powers[k] slot by slot: an int64 array mod m, or a list of exact ints.
+    The maps nest one level per nonzero key[k], at most as deep as the scan is wide."""
+    column = itertools.repeat(0, size)
+    for c, power in zip(key, powers):
+        if c:
+            column = map(add, column, map(mul, itertools.repeat(c), power))
+    return array("q", map(mod, column, itertools.repeat(m))) if m else list(column)
 
 
 EQUAL_WITHIN_BOUND = "equal_within_bound"

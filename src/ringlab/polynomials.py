@@ -31,7 +31,7 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .domains import Domain, QQ, RingElement, Value, ZZ
+from .domains import KIND_Q, KIND_Z, Domain, QQ, RingElement, Value, ZZ
 from .errors import (
     DomainMismatch,
     InvalidDomain,
@@ -293,10 +293,11 @@ class Polynomial:
         if len(point) != self.ring.nvars:
             raise DomainMismatch(f"expected {self.ring.nvars} coordinates, got {len(point)}")
         dom = out = self.ring.domain
-        over_z, canon, coords = dom == ZZ, dom.canon, []
+        # kind and identity tests: the dataclass __eq__ runs only on a foreign coordinate
+        over_z, canon, coords = dom.kind == KIND_Z, dom.canon, []
         for x in point:
             if isinstance(x, RingElement):
-                if x.domain != dom and not (over_z and x.domain == QQ):
+                if x.domain is not dom and x.domain != dom and not (over_z and x.domain == QQ):
                     raise DomainMismatch(f"point coordinate in {x.domain}, expected {dom}")
                 x = x.value
             # a rational coordinate lifts the point into Q, where the ints before it stay exact
@@ -306,7 +307,7 @@ class Polynomial:
             coords.append(canon(x))
         kernel, den = self._evaluator or self._build_evaluator()
         value = kernel(coords)
-        return RingElement.trusted(out, Fraction(value, den) if out == QQ else value)
+        return RingElement.trusted(out, Fraction(value, den) if out.kind == KIND_Q else value)
 
     def evaluator(self) -> Callable[[tuple], Value]:
         """The evaluation kernel: raw canonical coordinates -> a value that is zero

@@ -1,11 +1,13 @@
 """The variety / vanishing-ideal correspondence over prime fields.
 
-Everything here is exhaustive and exact: a variety is computed by
-scanning all of F_p^n, and the vanishing ideal of a point set comes from
-the nullspace of the evaluation matrix on reduced monomials (per-variable
-exponents below p) together with the field equations x_i^p - x_i.  Over a
-finite field every subset of F_p^n is algebraic, so V(I(X)) = X exactly
-and the irreducible sets are the singletons.
+Everything here is exhaustive and exact.  A variety is the set of common
+zeros in F_p^n: over each prefix x_1..x_{n-1} the last coordinate is
+solved for by one lookup in a precomputed value column
+(``polyideals.common_zeros``).  The vanishing ideal of a point set comes
+from the nullspace of the evaluation matrix on reduced monomials
+(per-variable exponents below p) together with the field equations
+x_i^p - x_i.  Over a finite field every subset of F_p^n is algebraic, so
+V(I(X)) = X exactly and the irreducible sets are the singletons.
 """
 
 from __future__ import annotations
@@ -71,9 +73,6 @@ class PointSet:
     def __contains__(self, pt) -> bool:
         return tuple(pt) in set(self.points)
 
-    def is_subset_of(self, other: "PointSet") -> bool:
-        return set(self.points) <= set(other.points)
-
     def __str__(self) -> str:
         inner = ", ".join("(" + ", ".join(map(str, pt)) + ")" for pt in self.points)
         return "{" + inner + "}"
@@ -87,7 +86,7 @@ def _require_prime_field_ring(ring: PolyRing) -> int:
 
 
 def variety(ideal: IdealPresentation) -> PointSet:
-    """Exact common zero set of the generators, by exhaustive scan.
+    """Exact common zero set of the generators in F_p^n, in lex order.
 
     The empty presentation (the zero ideal) cuts out all of F_p^n.
     """

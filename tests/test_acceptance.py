@@ -250,7 +250,7 @@ def test_criterion_07_decomposition():
             for a in components:
                 for b in components:
                     if a is not b:
-                        assert not a.is_subset_of(b)
+                        assert not set(a.points) <= set(b.points)
 
 
 def test_criterion_08_irreducible_iff_prime():

@@ -60,6 +60,9 @@ CAPPED_REPROS = [
     (["parse", "(x+y+1)^87"], 0, 2.0, None),
     # sparse high y-degree rows: 3.2 s while each row evaluated its c_k(y) on Fractions
     (["plot", "--res", "999", "--window", "-1/3:2/7,-5/11:3/13", "y^900 - x"], 0, 4.0, None),
+    # zero scans: every prefix its own fibre column, and one column of 999 983 slots
+    (["variety", "--field", "fp:997", "--vars", "x,y", "x*y^2+y+x"], 0, 1.5, None),
+    (["variety", "--field", "fp:999983", "--vars", "x", "x^5+3*x^2+1"], 0, 2.0, None),
 ]
 
 

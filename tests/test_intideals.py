@@ -115,7 +115,8 @@ def test_prime_defs_rejects_non_ideal():
 @pytest.mark.parametrize("n", range(1, 31))
 def test_prime_definitions_always_agree(n):
     for ideal in enumerate_ideals_mod_n(n):
-        assert prime_defs_agree(n, ideal).agree
+        verdict = prime_defs_agree(n, ideal)
+        assert verdict.def_direct == verdict.def_quotient
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -480,3 +480,100 @@ def test_common_zeros_over_q_match_fraction_brute_force(nvars):
             first = next((pt for pt in expected if _fraction_value(f, pt) != 0), None)
             assert cert.verdict == (UNKNOWN if first is None else NON_MEMBER)
             assert cert.witness is None or tuple(c.value for c in cert.witness) == first
+
+
+# -- the fibre construction against the plain product scan ------------------------
+
+
+def _product_scan(ideal):
+    """Oracle: every point of the scan, kept when each generator's kernel is zero there."""
+    dom = ideal.ring.domain
+    values = range(-5, 6) if dom == QQ else range(dom.modulus)
+    kernels = [g.evaluator() for g in ideal.generators]
+    return [pt for pt in itertools.product(values, repeat=ideal.ring.nvars)
+            if not any(k(pt) for k in kernels)]
+
+
+def _scan_values(ideal):
+    got = list(common_zeros(ideal))
+    assert all(c.domain == ideal.ring.domain for pt in got for c in pt)
+    return [tuple(c.value for c in pt) for pt in got]
+
+
+def _random_ideal(rng, ring):
+    """Up to two generators: random sparse terms of per-variable degree up to 4, or a
+    product of shifted coordinates, which has zeros on every field and on the grid."""
+    names, over_q = ring.variables, ring.domain == QQ
+    gens = []
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        if rng.random() < 0.5:
+            text = "*".join(f"({rng.choice(names)} - {rng.randint(-5, 5)})"
+                            for _ in range(rng.randint(1, 3)))
+        else:
+            text = " + ".join(
+                (f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}" if over_q else str(rng.randint(0, 12)))
+                + "".join(f"*{v}^{rng.randint(0, 4)}" for v in names)
+                for _ in range(rng.randint(1, 4)))
+        gens.append(parse_polynomial(text, ring))
+    return IdealPresentation(ring, tuple(gens))
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("field", ["fp:2", "fp:3", "fp:5", "fp:7", "fp:11", "q"])
+def test_common_zeros_match_the_product_scan(field, nvars):
+    dom = QQ if field == "q" else Fp(int(field[3:]))
+    ring = PolyRing(dom, ("x", "y", "z")[:nvars])
+    rng = random.Random(f"fibres {field} {nvars}")
+    for _ in range(30 if nvars < 3 else 10):
+        ideal = _random_ideal(rng, ring)
+        assert _scan_values(ideal) == _product_scan(ideal), ideal
+
+
+@pytest.mark.parametrize("field", ["fp:7", "q"])
+@pytest.mark.parametrize("gens", [
+    [],  # the zero ideal: every point
+    ["3"],  # a nonzero constant: no point
+    ["x^2 - y"],  # free of the last variable: whole fibres
+    ["z^3 - z"],  # in the last variable alone: one column for the whole scan
+    ["x*z^2 + y*z + x"],  # the higher coefficients differ on every prefix
+    ["x*z - 1", "y - z^2"],  # two generators
+    ["z^9 + 2*z^2 - x*y^4*z^8"],  # exponents past p - 1
+    # more degrees in z than F_7 has values: filtered through the kernel over F_7
+    ["z^8 + z^7 + 2*z^6 + z^5 + z^4 + 3*z^3 + z^2 + x*z + y"],
+])
+def test_common_zeros_edge_shapes(field, gens):
+    ring = PolyRing(QQ if field == "q" else Fp(7), ("x", "y", "z"))
+    ideal = IdealPresentation(ring, tuple(parse_polynomial(g, ring) for g in gens))
+    assert _scan_values(ideal) == _product_scan(ideal)
+
+
+@pytest.mark.parametrize("field", ["fp:101", "fp:5", "q"])
+def test_common_zeros_when_every_fibre_has_its_own_column(field):
+    ring = PolyRing(QQ if field == "q" else Fp(int(field[3:])), ("x", "y"))
+    ideal = IdealPresentation(ring, (parse_polynomial("x*y^2 + y + x", ring),))
+    assert _scan_values(ideal) == _product_scan(ideal)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The key of every fibre column common_zeros builds, in order."""
+    keys, column = [], polyideals._column
+    monkeypatch.setattr(polyideals, "_column", lambda *a: keys.append(a[0]) or column(*a))
+    return keys
+
+
+def test_common_zeros_builds_columns_only_as_far_as_the_first_hit(built):
+    ring = PolyRing(Fp(997), ("x", "y"))
+    first = next(common_zeros(IdealPresentation(ring, (parse_polynomial("y - x", ring),))))
+    assert [c.value for c in first] == [0, 0] and built == [(1,)]
+    built.clear()  # x*y - 1: prefix 0 has no root, prefix 1 has y = 1
+    first = next(common_zeros(IdealPresentation(ring, (parse_polynomial("x*y - 1", ring),))))
+    assert [c.value for c in first] == [1, 1] and built == [(0,), (1,)]
+
+
+def test_common_zeros_filters_when_the_generator_has_more_degrees_than_values(built):
+    ring = PolyRing(Fp(3), ("x", "y"))
+    for text, columns in (("y^4 + y^3 + y^2 + y + x", 0), ("y^2 + x*y + 1", 3)):
+        ideal = IdealPresentation(ring, (parse_polynomial(text, ring),))
+        built.clear()
+        assert _scan_values(ideal) == _product_scan(ideal) and len(built) == columns

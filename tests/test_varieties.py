@@ -318,7 +318,7 @@ def test_decomposition_properties_random_f3():
         for a in comps:
             for b in comps:
                 if a is not b:
-                    assert not a.is_subset_of(b)
+                    assert not set(a.points) <= set(b.points)
 
 
 def test_prime_iff_singleton_with_verified_witnesses():
