@@ -43,7 +43,7 @@ from .polyideals import (
     strict_chain_demo,
 )
 from .polynomials import DIGIT_LIMIT, Polynomial, PolyRing, domain_tag, format_polynomial
-from .raster import raster_plane_curve, render_ascii, render_svg
+from .raster import ascii_rows, raster_plane_curve, render_ascii, render_svg
 from .varieties import (
     PointSet,
     decompose,
@@ -435,8 +435,7 @@ COMMANDS: dict[str, Command] = {
         (1, 1, "plot expects exactly one expression"), _plot,
         {"json": lambda grid: {"window": [str(v) for v in grid.window],
                                "res": [grid.cols, grid.rows],
-                               "rows": ["".join("#" if cell else "." for cell in row)
-                                        for row in grid.cells]},
+                               "rows": ascii_rows(grid)},
          "text": lambda grid: render_ascii(grid), "svg": lambda grid: render_svg(grid)}),
 }
 

@@ -70,6 +70,7 @@ def is_prime(n: int) -> bool:
 
 # rho steps per split in smallest_factor: ~1.3 s on a 2-vCPU host; a least factor near 10^12 fits
 RHO_BUDGET = 1 << 21
+RHO_BATCH = 128  # rho differences multiplied together between two gcds
 
 
 def smallest_factor(n: int) -> int:
@@ -93,7 +94,7 @@ def smallest_factor(n: int) -> int:
     return min(a, smallest_factor(large))
 
 
-def _rho_divisor(n: int, batch: int = 128) -> int:
+def _rho_divisor(n: int) -> int:
     """A proper divisor of an odd composite n: Pollard's rho in Brent's (1980) variant."""
     steps = 0
     for c in itertools.count(1):
@@ -105,9 +106,9 @@ def _rho_divisor(n: int, batch: int = 128) -> int:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
-            for k in range(0, r, batch):  # one gcd per batch of differences
+            for k in range(0, r, RHO_BATCH):  # one gcd per batch of differences
                 ys = y
-                for _ in range(min(batch, r - k)):
+                for _ in range(min(RHO_BATCH, r - k)):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = math.gcd(q, n)

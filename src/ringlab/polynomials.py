@@ -482,11 +482,13 @@ def domain_from_tag(tag: str) -> Domain:
         return ZZ
     if tag == "q":
         return QQ
-    if tag.startswith("fp:"):
-        return Fp(int(tag[3:]))
-    if tag.startswith("zn:"):
-        return Zn(int(tag[3:]))
-    raise InvalidDomain(f"unknown domain tag {tag!r}")
+    if tag[:3] not in ("fp:", "zn:"):
+        raise InvalidDomain(f"unknown domain tag {tag!r}")
+    try:
+        modulus = int(tag[3:])
+    except ValueError:
+        raise InvalidDomain(f"domain tag {tag!r} has no integer modulus") from None
+    return (Fp if tag[:3] == "fp:" else Zn)(modulus)
 
 
 def monomials_up_to(nvars: int, bound: int) -> list[tuple[int, ...]]:

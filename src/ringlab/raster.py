@@ -7,19 +7,17 @@ shows up.  Corner sampling can miss a curve that dips into a cell's
 interior without touching a corner sign; that is the documented price of
 exactness.
 
-The signs come from one integer kernel per corner row, not from a
-Fraction evaluation per corner.  Write f = sum_k c_k(y) x^k, let L be the
-lcm of f's coefficient denominators and d its largest y-degree, and write
-row y_i = ymax - i*dy as (a - i*b)/q on ints.  The homogenized
-C_k(t, y) = sum_e L*c_{k,e} t^(d-e) y^e has integer coefficients and
-C_k(q, a - i*b) = L*q^d*c_k(y_i), so each row's coefficients are plain
-ints.  Substituting x = xmin + j*dx turns the row into a polynomial in
-the column index, h_i(j) = sum_m b_m j^m (a Taylor shift), whose
-coefficients are cleared to ints over one denominator den once per
-raster.  Every row value is then L*q^d*den times f's value: one positive
-multiple, the same at every corner, so every sign survives.  Horner on
-plain ints over j = 0..cols yields exactly the signs that evaluating f
-with Fractions would, zeros included.
+The signs come from one integer kernel per corner row, with no Fraction
+per corner: x_j = xmin + j*dx = (u + j*w)/s and y_i = ymax - i*dy =
+(a - i*b)/q on ints.  Write f = sum_k c_k(y) x^k, with L the lcm of its
+coefficient denominators and e, d its largest x- and y-degrees.  Each
+homogenized C_k(t, y) = s^(e-k) sum_m L*c_{k,m} t^(d-m) y^m has integer
+coefficients, and with X_j = u + j*w, sum_k C_k(q, a - i*b) X_j^k =
+L*q^d*s^e*f(x_j, y_i): one positive multiple at every corner, so every
+sign survives, zeros included.  Horner in X_j runs over only the
+x-degrees f has, multiplying from one to the next by the column X_j^gap,
+built once per raster and gap.  A cell is clear exactly when its four
+corner signs sum to +-4, so adjacent corners are added once per row.
 """
 
 from __future__ import annotations
@@ -27,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
-from math import comb, lcm
+from math import lcm
+from operator import add, mul
 from typing import Iterator
 
 from .domains import QQ, ZZ
@@ -72,13 +71,10 @@ def raster_plane_curve(f: Polynomial, window: Window, cols: int, rows: int) -> R
         raise DegenerateWindow(f"window {window} has no area")
 
     window = (xmin, xmax, ymin, ymax)
-    # per corner row, edge j holds the common sign of corners j and j+1, or 0
-    # when they differ or vanish; a cell is clear iff its top and bottom
-    # edges share a nonzero sign, i.e. its four corner signs do
-    edges = ([s if s == t else 0 for s, t in pairwise(signs)]
-             for signs in corner_signs(f, window, cols, rows))
-    cells = tuple(tuple(not (a and a == b) for a, b in zip(top, bottom))
-                  for top, bottom in pairwise(edges))
+    # a cell is clear iff its four corner signs sum to +-4
+    pairs = (list(map(add, signs, signs[1:])) for signs in corner_signs(f, window, cols, rows))
+    cells = tuple(tuple([abs(t + b) != 4 for t, b in zip(top, bottom)])
+                  for top, bottom in pairwise(pairs))
     return RasterGrid(window, cols, rows, cells)
 
 
@@ -92,42 +88,43 @@ def corner_signs(f: Polynomial, window: Window, cols: int, rows: int) -> Iterato
     dx = (xmax - xmin) / cols
     dy = (ymax - ymin) / rows
 
-    # y_i = ymax - i*dy = (a - i*b)/q on ints
+    # x_j = xmin + j*dx = (u + j*w)/s and y_i = ymax - i*dy = (a - i*b)/q on ints
+    s = lcm(xmin.denominator, dx.denominator)
+    u, w = xmin.numerator * (s // xmin.denominator), dx.numerator * (s // dx.denominator)
     q = lcm(ymax.denominator, dy.denominator)
     a, b = ymax.numerator * (q // ymax.denominator), dy.numerator * (q // dy.denominator)
 
-    # L*f = sum_k x^k sum_e L*c_{k,e} y^e; C_k homogenizes the inner sum to degree d in (t, y)
+    # C_k = s^(e-k) times the k-th x-coefficient of L*f, homogenized to degree d
     terms, _ = _integer_terms(f.terms)
-    d = max(ey for _, ey in terms)
+    e, d = map(max, zip(*terms))
     parts: dict[int, dict] = {}
     for (ex, ey), c in terms.items():
-        parts.setdefault(ex, {})[(d - ey, ey)] = c
-    ks = sorted(parts)
+        parts.setdefault(ex, {})[(d - ey, ey)] = c * s ** (e - ex)
+    ks = sorted(parts, reverse=True)
     coeffs = [Polynomial._from_raw(_ROW_RING, parts[k]) for k in ks]
-    # h(j) = f(xmin + j*dx, y) = sum_m b_m j^m with b_m = sum_k shift[m][k] c_k(y),
-    # shift[m][k] = C(k,m) xmin^(k-m) dx^m, kept as ints over one denominator
-    shift = [[comb(k, m) * xmin ** (k - m) * dx ** m if k >= m else 0 for k in ks]
-             for m in range(ks[-1] + 1)]
-    den = lcm(*(t.denominator for row in shift for t in row))
-    shift = [[t.numerator * (den // t.denominator) for t in row] for row in shift]
+    # Horner over the x-degrees f has; the last gap runs down to degree 0
+    gaps = [k - k1 for k, k1 in pairwise(ks + [0])]
+    powers = {g: [x ** g for x in range(u, u + (cols + 1) * w, w)] for g in set(gaps) if g}
 
-    js = range(cols + 1)
     for i in range(rows + 1):
         point = (q, a - i * b)
-        cy = [c.evaluate(point).value for c in coeffs]  # L*q^d*c_k(y_i)
-        # B_m = L*q^d*den*b_m: a positive multiple, so every sign survives
-        ints = [sum(t * c for t, c in zip(row, cy)) for row in shift]
-        vals = [ints[-1]] * (cols + 1)
-        for coeff in reversed(ints[:-1]):
-            vals = [v * j + coeff for v, j in zip(vals, js)]
+        top, *lower = [c.evaluate(point).value for c in coeffs]  # L*q^d*s^(e-k)*c_k(y_i)
+        vals = [top] * (cols + 1)
+        for cy, gap in zip(lower, gaps):
+            vals = [v * p + cy for v, p in zip(vals, powers[gap])]
+        if gaps[-1]:
+            vals = list(map(mul, vals, powers[gaps[-1]]))
         yield [(v > 0) - (v < 0) for v in vals]
+
+
+def ascii_rows(grid: RasterGrid) -> list[str]:
+    """One string per cell row, as render_ascii prints it."""
+    return ["".join(map(".#".__getitem__, row)) for row in grid.cells]
 
 
 def render_ascii(grid: RasterGrid) -> str:
     """'#' for marked cells, '.' otherwise, top row first."""
-    return "\n".join(
-        "".join("#" if cell else "." for cell in row) for row in grid.cells
-    ) + "\n"
+    return "\n".join(ascii_rows(grid)) + "\n"
 
 
 def render_svg(grid: RasterGrid) -> str:

@@ -63,6 +63,9 @@ CAPPED_REPROS = [
     # zero scans: every prefix its own fibre column, and one column of 999 983 slots
     (["variety", "--field", "fp:997", "--vars", "x,y", "x*y^2+y+x"], 0, 1.5, None),
     (["variety", "--field", "fp:999983", "--vars", "x", "x^5+3*x^2+1"], 0, 2.0, None),
+    # sparse high x-degree rows: over 60 s and 18-29 s while x went through a dense Taylor shift
+    (["plot", "--res", "8", "x^20000 - y"], 0, 1.0, None),
+    (["plot", "--res", "999", "--window", "-1/3:2/7,-5/11:3/13", "x^100 - y"], 0, 2.0, None),
 ]
 
 

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringlab.domains import Fp, QQ, RingElement, Zn, ZZ
-from ringlab.errors import DomainMismatch, NotUnivariate, RingMismatch, TooLarge, ZeroPolynomial
+from ringlab.errors import (
+    DomainMismatch,
+    InvalidDomain,
+    NotUnivariate,
+    RingMismatch,
+    TooLarge,
+    ZeroPolynomial,
+)
 from ringlab import polynomials
 from ringlab.parsing import parse_polynomial
 from ringlab.polyideals import (
@@ -133,6 +140,12 @@ def test_json_round_trip():
     assert poly_from_json(poly_to_json(f)) == f
     g = parse_polynomial("x^2 + x*y", RF2)
     assert poly_from_json(poly_to_json(g)) == g
+
+
+@pytest.mark.parametrize("tag", ["fp:abc", "fp:", "zn:", "gf:7"])
+def test_json_with_a_bad_domain_tag_raises_invalid_domain(tag):
+    with pytest.raises(InvalidDomain, match=re.escape(repr(tag))):
+        poly_from_json({"domain": tag, "vars": ["x"], "terms": []})
 
 
 def test_no_zero_terms_survive_any_operation():

@@ -221,9 +221,11 @@ def test_row_kernel_matches_without_x_terms_without_y_terms_and_for_constants(ri
         assert grid.marked() == []
 
 
-# sparse high y-degree curves: the row kernel evaluates each homogenized c_k(y) at
-# (q, a - i*b), so these stress q^d and the degree gaps between its terms
-SPARSE_CURVES = ["y^40 - x", "x^3*y^17 - 2/3", "x*y^25 + y^24 - 1/7"]
+# sparse high-degree curves: the row kernel evaluates each homogenized c_k(y) at
+# (q, a - i*b) and runs Horner over the x-degrees present, so these stress q^d,
+# s^(e-k) and the degree gaps in both variables
+SPARSE_CURVES = ["y^40 - x", "x^3*y^17 - 2/3", "x*y^25 + y^24 - 1/7",
+                 "x^40 - y", "x^17*y - 2/3 + x*y^5", "x^9 - x^2*y^3 + 1/5"]
 NARROW = (Fraction(-1, 997), Fraction(1, 991))
 COPRIME = (Fraction(-5, 11), Fraction(3, 13))
 WIDE = (Fraction(-3, 2), Fraction(7, 5))
