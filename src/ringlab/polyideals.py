@@ -3,10 +3,13 @@
 Membership at a bound is decided by an exact linear system over the
 cofactor coefficients: f is a bounded member of (g_1, ..., g_m) iff
 f = sum h_i g_i is solvable with every h_i of total degree at most the
-bound.  A Member certificate carries the cofactors and re-verifies by
-plain polynomial arithmetic; a NonMember certificate carries a point
-where all generators vanish but f does not; Unknown is the honest third
-verdict when the search space is exhausted.
+bound.  Its columns, each g_i times each monomial of degree at most the
+bound, are filled straight from the generators' terms.  A Member
+certificate carries the cofactors and re-verifies by plain polynomial
+arithmetic; a NonMember certificate carries a point where all generators
+vanish but f does not, found by one zero scan that runs the evaluation loop
+on bare coefficient term dicts; Unknown is the honest third verdict when
+the search space is exhausted.
 
 In one variable the ring is a principal ideal domain: ``hbt`` collapses an
 ideal to the gcd of its generators and ``radical`` is f / gcd(f, f').  Both run
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from operator import add, mod, mul
 from typing import Iterator, Sequence
 
-from .domains import QQ, ZZ, Domain, RingElement, Value
+from .domains import QQ, Domain, RingElement, Value
 from .errors import (
     InseparableCase,
     NotEnoughVariables,
@@ -34,7 +37,8 @@ from .errors import (
     ZeroPolynomial,
 )
 from .linalg import solve_mod_p, solve_rational
-from .polynomials import WORK_LIMIT, Polynomial, PolyRing, _integer_terms, monomials_up_to
+from .polynomials import (WORK_LIMIT, Polynomial, PolyRing, _integer_terms, _kernel,
+                          monomials_up_to)
 
 RATIONAL_GRID_SPAN = 5
 MATRIX_CELL_LIMIT = 10_000_000  # rows x columns of one membership matrix
@@ -119,12 +123,7 @@ def membership_bounded(f: Polynomial, ideal: IdealPresentation, bound: int) -> M
 
     check_matrix_size(f, gens, bound)
     shifts = monomials_up_to(ring.nvars, bound)
-    columns = [  # column (i, m) is m * g_i; its solved coefficient is h_i's on m
-        Polynomial._from_raw(ring, {tuple(map(add, exps, shift)): c
-                                    for exps, c in g.terms.items()})
-        for g in gens for shift in shifts
-    ]
-    sol = solve_in_span(f, columns)
+    sol = solve_in_span(f, gens, shifts)  # entry i*len(shifts) + k: h_i's coefficient on shifts[k]
     if sol is not None:
         k = len(shifts)
         cofactors = tuple(Polynomial._from_raw(ring, dict(zip(shifts, sol[i * k:(i + 1) * k])))
@@ -159,27 +158,27 @@ def check_matrix_size(f: Polynomial, gens: Sequence[Polynomial], bound: int) -> 
                        f"the limit of {MATRIX_CELL_LIMIT}")
 
 
-def solve_in_span(target: Polynomial, columns: Sequence[Polynomial]) -> list | None:
-    """Coefficients c with sum c_j columns[j] = target (free ones zero), or None.
+def solve_in_span(target: Polynomial, gens: Sequence[Polynomial],
+                  shifts: Sequence[tuple[int, ...]]) -> list | None:
+    """Coefficients c with sum c_j m_k g_i = target (free ones zero), or None.
 
-    One exact solve over the coefficient field by linalg's sparse
-    Gauss-Jordan kernel.  Rows are the target's monomials, then each
-    column's in order of first appearance; membership_bounded checks its size first.
+    Column j = i*len(shifts) + k is generator i shifted by m_k = shifts[k],
+    filled straight from g_i's terms.  One exact solve over the coefficient
+    field by linalg's sparse Gauss-Jordan kernel.  Rows are the target's
+    monomials, then each column's in order of first appearance;
+    membership_bounded checks the matrix size first.
     """
     dom = target.ring.domain
+    ncols = len(gens) * len(shifts)
     if target.is_zero:
-        return [dom.zero] * len(columns)
-    row_of: dict[tuple[int, ...], int] = {}
-    for poly in (target, *columns):
-        for exps in poly.terms:
-            row_of.setdefault(exps, len(row_of))
-    matrix = [[0] * len(columns) for _ in row_of]  # int zeros: a cheap truth test in linalg
-    for j, col in enumerate(columns):
-        for exps, c in col.terms.items():
-            matrix[row_of[exps]][j] = c
-    rhs = [0] * len(row_of)
-    for exps, c in target.terms.items():
-        rhs[row_of[exps]] = c
+        return [dom.zero] * ncols
+    rows = {exps: [0] * ncols for exps in target.terms}  # int zeros: a cheap truth test in linalg
+    for j, (g, shift) in enumerate(itertools.product(gens, shifts)):
+        for exps, c in g.terms.items():
+            exps = tuple(map(add, exps, shift))
+            row = rows.get(exps) or rows.setdefault(exps, [0] * ncols)
+            row[j] = c
+    matrix, rhs = list(rows.values()), [target.terms.get(exps, 0) for exps in rows]
     if dom == QQ:
         return solve_rational(matrix, rhs)
     return solve_mod_p(matrix, rhs, dom.modulus)
@@ -234,19 +233,17 @@ def _fibre_zeros(g: Polynomial, values: range) -> Iterator[tuple[int, ...]]:
     distinct tuple of them and looked up for every prefix that repeats it
     (the extension step of elimination; Cox, Little & O'Shea, ch. 3).
     """
-    ring, m = g.ring, g.ring.domain.modulus
-    terms = g.terms if m else _integer_terms(g.terms)[0]
-    coeff_ring = ring if m else PolyRing(ZZ, ring.variables)
-    split: dict[int, dict] = {}
-    for exps, c in terms.items():
-        split.setdefault(exps[-1], {})[exps[:-1] + (0,)] = c
-    c0 = Polynomial._from_raw(coeff_ring, split.pop(0, {})).evaluator()
+    m = g.ring.domain.modulus
+    split: dict[int, dict] = {}  # k -> the int terms of c_k, on x_1..x_{n-1}
+    for exps, c in (g.terms if m else _integer_terms(g.terms)[0]).items():
+        split.setdefault(exps[-1], {})[exps[:-1]] = c
+    c0 = _kernel(split.pop(0, {}), m)
     degrees = sorted(split)
-    highs = [Polynomial._from_raw(coeff_ring, split[k]).evaluator() for k in degrees]
+    highs = [_kernel(split[k], m) for k in degrees]
     powers = [map(pow, values, itertools.repeat(k), itertools.repeat(m)) for k in degrees]
     powers = [array("q", power) if m else list(power) for power in powers]  # v^k (mod p)
     columns: dict[tuple, array | list] = {}
-    for prefix in itertools.product(values, repeat=ring.nvars - 1):
+    for prefix in itertools.product(values, repeat=g.ring.nvars - 1):
         key = tuple([c(prefix) for c in highs])
         column = columns.get(key)
         if column is None:

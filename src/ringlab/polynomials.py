@@ -14,12 +14,13 @@ are multiplied, and each result coefficient is written once as a Fraction
 over D_a*D_b, or over D^e for a power, which is scaled once before its
 binary powering.  Over Z, F_p and Z/n the loop runs on the raw values.
 
-Every point evaluation runs one kernel: ``Polynomial.evaluator()``, a closure
-built once per polynomial from its int terms, which maps a tuple of raw
-canonical coordinates to a value that is zero exactly where the polynomial
-vanishes (an int at integer coordinates, over Q too).  ``evaluate`` is that
+Every point evaluation runs one loop, ``_kernel(terms, m)``: c times pow(x_i,
+e, m) over each int term's nonzero exponents, summed and reduced once mod m
+(None over Z and Q).  ``Polynomial.evaluator()`` caches it on f's int terms
+(D*f over Q): raw canonical coordinates -> a value that is zero exactly where
+f vanishes (an int at integer coordinates, over Q too).  ``evaluate`` is that
 kernel behind the entry checks: arity, coordinate domains and one ``canon``
-per coordinate.
+per coordinate.  The zero scan calls ``_kernel`` on its coefficient split.
 """
 
 from __future__ import annotations
@@ -310,46 +311,17 @@ class Polynomial:
         return RingElement.trusted(out, Fraction(value, den) if out.kind == KIND_Q else value)
 
     def evaluator(self) -> Callable[[tuple], Value]:
-        """The evaluation kernel: raw canonical coordinates -> a value that is zero
-        exactly where self vanishes.  Built on first use and cached.
-
-        Mod n it is self's residue there.  Over Z and Q it is the value of
-        D * self, an integral polynomial (D is the lcm of the coefficient
-        denominators, 1 over Z): an int at integer coordinates, a Fraction at
-        rational ones.  Nothing checks the coordinates; evaluate does.
-        """
+        """The cached kernel: self's residue mod n, or over Z and Q the value of D * self
+        (D the lcm of the coefficient denominators), an int at integer coordinates and
+        a Fraction at rational ones.  Nothing checks the coordinates; evaluate does."""
         return (self._evaluator or self._build_evaluator())[0]
 
     def _build_evaluator(self) -> tuple[Callable[[tuple], Value], int]:
-        """Cache and return (kernel, D).  Terms are split by shape: the constant,
-        linear c*x_i, and products of powers; a power whose raw value would pass
-        ~32 bits is taken mod n as it is formed, the rest once at the end."""
-        m = self.ring.domain.modulus
-        terms, den = (_integer_terms(self.terms) if self.ring.domain == QQ
-                      else (self.terms, 1))
-        const, linear, products = 0, [], []
-        for exps, c in terms.items():
-            factors = [(i, e) for i, e in enumerate(exps) if e]
-            if not factors:
-                const = c
-            elif len(factors) == 1 and factors[0][1] == 1:
-                linear.append((c, factors[0][0]))
-            else:
-                products.append((c, tuple((i, e, m if m and e * m.bit_length() > 32 else None)
-                                          for i, e in factors)))
-
-        def kernel(point: tuple) -> Value:
-            total = const
-            for c, i in linear:
-                total += c * point[i]
-            for c, factors in products:
-                for i, e, mod in factors:
-                    c *= pow(point[i], e, mod)
-                total += c
-            return total % m if m else total
-
-        object.__setattr__(self, "_evaluator", (kernel, den))
-        return kernel, den
+        """Cache and return (kernel, D): the kernel of D * self's int terms."""
+        terms, den = _integer_terms(self.terms) if self.ring.domain == QQ else (self.terms, 1)
+        pair = _kernel(terms, self.ring.domain.modulus), den
+        object.__setattr__(self, "_evaluator", pair)
+        return pair
 
     # -- identity -------------------------------------------------------------
 
@@ -370,6 +342,23 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<{self.ring}: {format_polynomial(self)}>"
+
+
+def _kernel(terms: Mapping[tuple[int, ...], int], m: int | None) -> Callable[[Sequence], Value]:
+    """The one evaluation loop: at a point of raw canonical coordinates, each int term's
+    c times pow(x_i, e, m) over its nonzero exponents, summed and reduced once mod m at
+    the end (m is None over Z and Q)."""
+    monos = [(c, [(i, e) for i, e in enumerate(exps) if e]) for exps, c in terms.items()]
+
+    def kernel(point: Sequence) -> Value:
+        total = 0
+        for c, factors in monos:
+            for i, e in factors:
+                c *= pow(point[i], e, m)
+            total += c
+        return total % m if m else total
+
+    return kernel
 
 
 def _reduced(dom: Domain, raw: dict[tuple[int, ...], Value],

@@ -17,7 +17,9 @@ L*q^d*s^e*f(x_j, y_i): one positive multiple at every corner, so every
 sign survives, zeros included.  Horner in X_j runs over only the
 x-degrees f has, multiplying from one to the next by the column X_j^gap,
 built once per raster and gap.  A cell is clear exactly when its four
-corner signs sum to +-4, so adjacent corners are added once per row.
+corner signs sum to +-4, so adjacent corners are added once per row.  A
+corner value's bits are bounded from e, d, the lattice ends and L*f before
+any power is built, and past CORNER_BIT_LIMIT the raster is refused.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from .polyideals import SCAN_LIMIT
 from .polynomials import Polynomial, PolyRing, _integer_terms
 
 Window = tuple[Fraction, Fraction, Fraction, Fraction]  # xmin, xmax, ymin, ymax
+# bits of one corner value: 1.5-3.8 s for a 64x64 raster just under it on a 2-vCPU host, where
+# x^10000000 - y on 8x8 (3*10^7 bits) took 8.5 s
+CORNER_BIT_LIMIT = 1_000_000
 # the homogenized y-coefficients C_k(t, y) of a curve, evaluated at (q, a - i*b) per row
 _ROW_RING = PolyRing(ZZ, ("t", "y"))
 
@@ -85,18 +90,24 @@ def corner_signs(f: Polynomial, window: Window, cols: int, rows: int) -> Iterato
     Fractions and f be nonzero, as raster_plane_curve checks.
     """
     xmin, xmax, ymin, ymax = window
-    dx = (xmax - xmin) / cols
-    dy = (ymax - ymin) / rows
-
+    dx, dy = (xmax - xmin) / cols, (ymax - ymin) / rows
     # x_j = xmin + j*dx = (u + j*w)/s and y_i = ymax - i*dy = (a - i*b)/q on ints
     s = lcm(xmin.denominator, dx.denominator)
     u, w = xmin.numerator * (s // xmin.denominator), dx.numerator * (s // dx.denominator)
     q = lcm(ymax.denominator, dy.denominator)
     a, b = ymax.numerator * (q // ymax.denominator), dy.numerator * (q // dy.denominator)
 
-    # C_k = s^(e-k) times the k-th x-coefficient of L*f, homogenized to degree d
-    terms, _ = _integer_terms(f.terms)
+    terms, _ = _integer_terms(f.terms)  # L*f
     e, d = map(max, zip(*terms))
+    # a corner value is at most t * max|L*c| * max(|X_j|, s)^e * max(|a - i*b|, q)^d over
+    # f's t terms: its bits are bounded before any power is built
+    bits = (e * max(abs(u), abs(u + cols * w), s).bit_length()
+            + d * max(abs(a), abs(a - rows * b), q).bit_length()
+            + max(map(abs, terms.values())).bit_length() + len(terms).bit_length())
+    if bits > CORNER_BIT_LIMIT:
+        raise TooLarge(f"the corner values of a {cols}x{rows} raster reach about {bits} bits, "
+                       f"over the limit of {CORNER_BIT_LIMIT}")
+    # C_k = s^(e-k) times the k-th x-coefficient of L*f, homogenized to degree d
     parts: dict[int, dict] = {}
     for (ex, ey), c in terms.items():
         parts.setdefault(ex, {})[(d - ey, ey)] = c * s ** (e - ex)

@@ -12,6 +12,7 @@ V(I(X)) = X exactly and the irreducible sets are the singletons.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 import sys
@@ -71,7 +72,8 @@ class PointSet:
         return iter(self.points)
 
     def __contains__(self, pt) -> bool:
-        return tuple(pt) in set(self.points)
+        i = bisect.bisect_left(self.points, pt := tuple(pt))  # the points are in lex order
+        return self.points[i:i + 1] == (pt,)
 
     def __str__(self) -> str:
         inner = ", ".join("(" + ", ".join(map(str, pt)) + ")" for pt in self.points)

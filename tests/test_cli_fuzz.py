@@ -66,6 +66,8 @@ CAPPED_REPROS = [
     # sparse high x-degree rows: over 60 s and 18-29 s while x went through a dense Taylor shift
     (["plot", "--res", "8", "x^20000 - y"], 0, 1.0, None),
     (["plot", "--res", "999", "--window", "-1/3:2/7,-5/11:3/13", "x^100 - y"], 0, 2.0, None),
+    # ran until killed building X_j^(10^14) before the corner values' bits were estimated
+    (["plot", "--res", "8", "x^100000000000000 - y"], 3, 1.0, "limit of"),
 ]
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from ringlab import domains
 from ringlab.domains import (
+    Domain,
     Fp,
     ModHomomorphism,
     QQ,
@@ -262,3 +263,15 @@ def test_ring_element_arithmetic_is_canonical(domain):
             assert got.is_zero == (got.value == 0)
     assert Zn(6).element(2) * Zn(6).element(3) == Zn(6).element(0)
     assert (Zn(6).element(2) * 3).is_zero and not Zn(6).element(5).is_zero
+
+
+def test_domain_kinds_and_moduli_are_checked_at_construction():
+    with pytest.raises(InvalidDomain, match="Z takes no modulus"):
+        Domain("Z", 5)
+    with pytest.raises(InvalidDomain, match="unknown domain kind 'R'"):
+        Domain("R")
+
+
+def test_a_negative_power_inverts_first():
+    assert Fp(7).pow(3, -1) == 5 and Fp(7).pow(3, -2) == 4
+    assert QQ.pow(Fraction(2, 3), -2) == Fraction(9, 4)

@@ -11,6 +11,7 @@ from ringlab.domains import Fp, QQ, Zn, ZZ
 from ringlab.errors import (
     InseparableCase,
     NotEnoughVariables,
+    RingMismatch,
     TooLarge,
     UnsupportedDomain,
     ZeroIdeal,
@@ -31,6 +32,7 @@ from ringlab.polyideals import (
     hbt_extract_univariate,
     ideal_equal_bounded,
     membership_bounded,
+    monic,
     radical_univariate,
     solve_in_span,
     strict_chain_demo,
@@ -412,7 +414,7 @@ def _combination(coeffs, columns, ring):
 def test_solve_in_span_reconstructs_a_target_in_the_span(ring):
     cols = [parse_polynomial(t, ring) for t in ("x + y", "x*y - 1", "y^2")]
     target = parse_polynomial("2*x + 2*y - 3*x*y + 3 + y^2", ring)
-    sol = solve_in_span(target, cols)
+    sol = solve_in_span(target, cols, [(0, 0)])
     assert sol is not None and len(sol) == 3
     assert _combination(sol, cols, ring) == target
     assert [ring.domain.canon(c) for c in sol] == [ring.domain.canon(c) for c in (2, -3, 1)]
@@ -421,22 +423,32 @@ def test_solve_in_span_reconstructs_a_target_in_the_span(ring):
 @SPAN_RINGS
 def test_solve_in_span_rejects_a_target_outside_the_span(ring):
     cols = [parse_polynomial(t, ring) for t in ("x + y", "x*y")]
-    assert solve_in_span(parse_polynomial("x", ring), cols) is None
-    assert solve_in_span(parse_polynomial("x + y + 1", ring), cols) is None
+    assert solve_in_span(parse_polynomial("x", ring), cols, [(0, 0)]) is None
+    assert solve_in_span(parse_polynomial("x + y + 1", ring), cols, [(0, 0)]) is None
 
 
 @SPAN_RINGS
 def test_solve_in_span_gives_a_duplicated_column_coefficient_zero(ring):
     x, y = (parse_polynomial(v, ring) for v in ("x", "y"))
-    sol = solve_in_span(parse_polynomial("3*x + y", ring), [x, x, y])
+    sol = solve_in_span(parse_polynomial("3*x + y", ring), [x, x, y], [(0, 0)])
     assert [ring.domain.canon(c) for c in sol] == [ring.domain.canon(c) for c in (3, 0, 1)]
 
 
 @SPAN_RINGS
 def test_solve_in_span_with_no_columns(ring):
-    assert solve_in_span(Polynomial.zero(ring), []) == []
-    assert solve_in_span(parse_polynomial("x", ring), []) is None
-    assert solve_in_span(parse_polynomial("1", ring), []) is None
+    assert solve_in_span(Polynomial.zero(ring), [], [(0, 0)]) == []
+    assert solve_in_span(parse_polynomial("x", ring), [], [(0, 0)]) is None
+    assert solve_in_span(parse_polynomial("1", ring), [], [(0, 0)]) is None
+
+
+@SPAN_RINGS
+def test_solve_in_span_lays_out_generator_i_shifted_by_shifts_k_at_i_times_len_plus_k(ring):
+    gens = [parse_polynomial(t, ring) for t in ("x + 1", "y")]
+    shifts = [(0, 0), (1, 0), (0, 1)]
+    sol = solve_in_span(parse_polynomial("2*x^2 + x + 3*y^2 + y - 1", ring), gens, shifts)
+    assert [ring.domain.canon(c) for c in sol] == [ring.domain.canon(c)
+                                                   for c in (-1, 2, 0, 1, 0, 3)]
+    assert solve_in_span(parse_polynomial("x^2*y", ring), gens, shifts) is None
 
 
 # -- the Q-grid scan against Fraction brute force ---------------------------------
@@ -577,3 +589,34 @@ def test_common_zeros_filters_when_the_generator_has_more_degrees_than_values(bu
         ideal = IdealPresentation(ring, (parse_polynomial(text, ring),))
         built.clear()
         assert _scan_values(ideal) == _product_scan(ideal) and len(built) == columns
+
+
+# -- the documented errors at the library's doors ------------------------------
+
+
+def test_doors_refuse_a_polynomial_from_another_ring():
+    x_q, x_f5 = q1("x"), f5("x")
+    with pytest.raises(RingMismatch, match="generator ring"):
+        IdealPresentation(RQ1, (x_q, x_f5))
+    with pytest.raises(RingMismatch):
+        membership_bounded(x_f5, IdealPresentation(RQ1, (x_q,)), 1)
+    with pytest.raises(RingMismatch):
+        ideal_equal_bounded(IdealPresentation(RQ1, (x_q,)), IdealPresentation(RF5, (x_f5,)), 1)
+    with pytest.raises(RingMismatch):
+        gcd_univariate(x_q, x_f5)
+
+
+def test_gcd_needs_one_variable_and_field_coefficients():
+    xy = parse_polynomial("x*y", RQ2)
+    with pytest.raises(UnsupportedDomain, match="univariate division only"):
+        gcd_univariate(xy, xy)
+    rz = PolyRing(ZZ, ("x",))
+    with pytest.raises(UnsupportedDomain, match="field coefficients"):
+        gcd_univariate(parse_polynomial("2*x", rz), parse_polynomial("x", rz))
+
+
+def test_monic_of_zero_and_a_chain_of_negative_length_raise():
+    with pytest.raises(ZeroPolynomial):
+        monic(Polynomial.zero(RQ1))
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        strict_chain_demo(-1, RQ2)

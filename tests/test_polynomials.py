@@ -238,6 +238,14 @@ def test_powers_under_the_limits_answer():
     assert parse_polynomial("10", RQ1) ** 4300 == Polynomial.constant(RQ1, 10 ** 4300)
 
 
+def test_a_negative_or_non_integer_exponent_is_refused():
+    x = parse_polynomial("x", RQ1)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        x ** -1
+    with pytest.raises(ValueError, match="non-negative integer"):
+        x ** Fraction(1, 2)
+
+
 def test_monomials_up_to():
     assert monomials_up_to(2, 1) == [(0, 0), (0, 1), (1, 0)]
     assert len(monomials_up_to(2, 2)) == 6

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from conftest import cells_containing
 
+from ringlab import raster
 from ringlab.domains import Fp, QQ, ZZ
 from ringlab.errors import (
     DegenerateWindow,
@@ -136,6 +137,21 @@ def test_raster_refuses_more_corners_than_the_scan_limit():
     assert raster_plane_curve(f, SQUARE, 999, 999).cols == 999  # 10^6 corners exactly
 
 
+def test_raster_refuses_corner_values_past_the_bit_limit_before_any_power():
+    # x^(10^14) would be built as X_j^(10^14); the estimate refuses it at once
+    f = parse_polynomial("x^100000000000000 - y", RQ2)
+    with pytest.raises(TooLarge, match="about 300000000000006 bits, over the limit of 1000000"):
+        raster_plane_curve(f, SQUARE, 8, 8)
+    f = parse_polynomial("y^100000000000000 - x", RQ2)
+    with pytest.raises(TooLarge, match="limit of"):
+        raster_plane_curve(f, SQUARE, 8, 8)
+    # on this grid |X_j|, s, |a - i*b| and q are at most 4, 3 bits a degree: x^333331 - y
+    # reads 3*333331 + 3 + 1 + 2 (the coefficient 1 and the 2 terms) = 999 999 bits
+    assert raster_plane_curve(parse_polynomial("x^333331 - y", RQ2), SQUARE, 8, 8).rows == 8
+    with pytest.raises(TooLarge, match="about 1000002 bits"):
+        raster_plane_curve(parse_polynomial("x^333332 - y", RQ2), SQUARE, 8, 8)
+
+
 # -- differential test: the integer row kernel against per-corner Fractions --
 
 def oracle_signs(f, window, cols, rows):
@@ -260,3 +276,30 @@ def test_rows_evaluate_integer_coefficients_at_integer_points(monkeypatch):
     for g, point in seen:
         assert g.ring.domain == ZZ and all(type(c) is int for c in g.terms.values())
         assert all(type(v) is int for v in point)
+
+
+def largest_corner_value(f, window, cols, rows):
+    """max |L*q^d*s^e*f| over the grid corners, from Fractions: the integer the row
+    kernel forms at each corner."""
+    xmin, xmax, ymin, ymax = window
+    dx, dy = (xmax - xmin) / cols, (ymax - ymin) / rows
+    s, q = math.lcm(xmin.denominator, dx.denominator), math.lcm(ymax.denominator, dy.denominator)
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    e, d = (max(exps[i] for exps in f.terms) for i in (0, 1))
+    scale = den * q ** d * s ** e
+    values = [scale * f.evaluate((xmin + j * dx, ymax - i * dy)).value
+              for i in range(rows + 1) for j in range(cols + 1)]
+    assert all(v.denominator == 1 for v in values)
+    return int(max(map(abs, values)))
+
+
+@pytest.mark.parametrize("text", SPARSE_CURVES + ["x^2 + y^2 - 1", "7", "-x*y"])
+def test_the_corner_bit_estimate_bounds_every_corner_value(text, monkeypatch):
+    f = parse_polynomial(text, RQ2)
+    for window in (NARROW + COPRIME, WIDE + NARROW, SQUARE,  # and one far from 0 on each axis
+                   (Fraction(1, 3), Fraction(5), Fraction(-4), Fraction(-1, 2))):
+        # the estimate is at least the true size, so a limit just under it refuses
+        bits = largest_corner_value(f, window, 6, 4).bit_length()
+        monkeypatch.setattr(raster, "CORNER_BIT_LIMIT", bits - 1)
+        with pytest.raises(TooLarge, match=f"over the limit of {bits - 1}"):
+            list(corner_signs(f, window, 6, 4))

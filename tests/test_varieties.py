@@ -8,7 +8,8 @@ import pytest
 
 from ringlab import varieties
 from ringlab.domains import Fp, QQ, is_prime
-from ringlab.errors import DomainMismatch, InvalidDomain, TooLarge, UnsupportedDomain
+from ringlab.errors import (DomainMismatch, InvalidDomain, RingMismatch, TooLarge,
+                            UnsupportedDomain)
 from ringlab.parsing import parse_polynomial
 from ringlab.polyideals import (IdealPresentation, MEMBER, common_zeros, membership_bounded,
                                 solve_in_span)
@@ -207,7 +208,7 @@ def _span_cofactors(result, f):
     """The oracle: f's field-equation quotients, with the generators' cofactors from one
     span solve of the reduced remainder; None when the solve is inconsistent."""
     *quotients, r = varieties._reduce_by_field_equations(f, result.point_set.p)
-    sol = solve_in_span(r, result.generators)
+    sol = solve_in_span(r, result.generators, [(0,) * result.ring.nvars])
     if sol is None:
         return None
     return tuple(Polynomial.constant(result.ring, c) for c in sol) + tuple(quotients)
@@ -603,3 +604,19 @@ def test_vanishing_ideal_at_the_widest_packed_field():
     # x^f - (-1)^f, one for each free column f
     assert all(g.terms == {(0,): -(-1) ** f % p, (f,): 1}
                for f, g in enumerate(result.generators, 1))
+
+
+def test_point_set_membership_by_bisection():
+    X = PointSet(5, 2, ((4, 1), (0, 3), (2, 2), (0, 0)))
+    assert (0, 3) in X and [2, 2] in X and (4, 1) in X and (0, 0) in X
+    assert (0, 1) not in X and (4, 4) not in X and (1, 0) not in X
+    assert (0,) not in X and (0, 3, 0) not in X and () not in X
+    assert (0, 0) not in PointSet(5, 2, ())
+
+
+def test_point_set_and_certify_doors():
+    with pytest.raises(InvalidDomain, match="dimension must be >= 1"):
+        PointSet(5, 0, ())
+    result = vanishing_ideal(PointSet(3, 2, ((0, 1),)))
+    with pytest.raises(RingMismatch):
+        result.certify(parse_polynomial("x", PolyRing(Fp(5), ("x", "y"))))
