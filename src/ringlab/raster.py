@@ -7,19 +7,32 @@ shows up.  Corner sampling can miss a curve that dips into a cell's
 interior without touching a corner sign; that is the documented price of
 exactness.
 
-The signs come from one integer kernel per corner row, with no Fraction
-per corner: x_j = xmin + j*dx = (u + j*w)/s and y_i = ymax - i*dy =
-(a - i*b)/q on ints.  Write f = sum_k c_k(y) x^k, with L the lcm of its
-coefficient denominators and e, d its largest x- and y-degrees.  Each
-homogenized C_k(t, y) = s^(e-k) sum_m L*c_{k,m} t^(d-m) y^m has integer
-coefficients, and with X_j = u + j*w, sum_k C_k(q, a - i*b) X_j^k =
-L*q^d*s^e*f(x_j, y_i): one positive multiple at every corner, so every
-sign survives, zeros included.  Horner in X_j runs over only the
-x-degrees f has, multiplying from one to the next by the column X_j^gap,
-built once per raster and gap.  A cell is clear exactly when its four
-corner signs sum to +-4, so adjacent corners are added once per row.  A
-corner value's bits are bounded from e, d, the lattice ends and L*f before
-any power is built, and past CORNER_BIT_LIMIT the raster is refused.
+The signs come from one integer per corner row, with no Fraction per
+corner: x_j = xmin + j*dx = (u + j*w)/s and y_i = ymax - i*dy = (a - i*b)/q
+on ints.  Write f = sum_k c_k(y) x^k, with L the lcm of its coefficient
+denominators and e, d its largest x- and y-degrees.  Each homogenized
+C_k(t, y) = s^(e-k) sum_m L*c_{k,m} t^(d-m) y^m has integer coefficients, and
+with X_j = u + j*w, v_j = sum_k C_k(q, a - i*b) X_j^k = L*q^d*s^e*f(x_j, y_i):
+one positive multiple at every corner, so every sign survives, zeros
+included.  Before any power is built, |v_j| < 2^bits is bounded from e, d,
+the lattice ends and L*f (past CORNER_BIT_LIMIT the raster is refused), and
+the raster's word steps (corners times x-degrees times words of a corner
+value, plus every term's powers on each row) are charged against
+RASTER_WORK_LIMIT.
+
+A row is one packed integer (Kronecker substitution).  Lanes are W bits, W
+the least multiple of 8 with W >= bits + 2, and P_k = sum_j X_j^k 2^(W*j) is
+built once per raster for each x-degree k that f has.  Then R = OFF +
+sum_k C_k(q, a - i*b) P_k, with OFF = 2^(W-1) in every lane, holds
+v_j + 2^(W-1) in lane j; as |v_j| < 2^(W-2) that stays inside [0, 2^W), so no
+lane borrows and the lanes are R's base-2^W digits.  A lane's top byte is
+>= 0x80 exactly when v_j >= 0, and the same read of R minus 1 in every lane
+gives v_j >= 1: one byte per column of a pos and a neg mask.  Lanes are
+capped at LANE_CAP bytes; a wider raster runs Horner in X_j over the
+x-degrees f has, with X_j^gap columns, and makes the same masks.  Byte c of
+pos & (pos >> 8) is set where corners c and c+1 are both positive, and a
+cell is clear exactly when that holds on both its corner rows, or the same
+for neg: all four corners positive or all four negative.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
 from math import lcm
-from operator import add, mul
+from operator import mul, sub
 from typing import Iterator
 
 from .domains import QQ, ZZ
@@ -40,6 +53,15 @@ Window = tuple[Fraction, Fraction, Fraction, Fraction]  # xmin, xmax, ymin, ymax
 # bits of one corner value: 1.5-3.8 s for a 64x64 raster just under it on a 2-vCPU host, where
 # x^10000000 - y on 8x8 (3*10^7 bits) took 8.5 s
 CORNER_BIT_LIMIT = 1_000_000
+# bytes of one packed lane at most; a raster whose corner values need wider lanes runs Horner
+# per corner instead (uncapped, y^900 - x at res 999 packed 1 000 lanes of ~16 000 bits a row
+# and took 67-70 s instead of 2-3 s)
+LANE_CAP = 16
+# word steps of one raster, estimated before its first row: 2.5-4 s just under it on a 2-vCPU
+# host, where y^9000 - x at res 999 (3.2*10^9) took 7-12 s
+RASTER_WORK_LIMIT = 10**9
+# 1 for a byte >= 0x80, the top byte of a lane whose value is >= 0
+_TOP = bytes(byte >> 7 for byte in range(256))
 # the homogenized y-coefficients C_k(t, y) of a curve, evaluated at (q, a - i*b) per row
 _ROW_RING = PolyRing(ZZ, ("t", "y"))
 
@@ -76,10 +98,13 @@ def raster_plane_curve(f: Polynomial, window: Window, cols: int, rows: int) -> R
         raise DegenerateWindow(f"window {window} has no area")
 
     window = (xmin, xmax, ymin, ymax)
-    # a cell is clear iff its four corner signs sum to +-4
-    pairs = (list(map(add, signs, signs[1:])) for signs in corner_signs(f, window, cols, rows))
-    cells = tuple(tuple([abs(t + b) != 4 for t, b in zip(top, bottom)])
-                  for top, bottom in pairwise(pairs))
+    # byte j of (pos & (pos >> 8)) is 1 where corners j and j+1 are both positive
+    pairs = ((pos & (pos >> 8), neg & (neg >> 8))
+             for pos, neg in _corner_masks(f, window, cols, rows))
+    every = int.from_bytes(b"\1" * cols, "little")
+    # a cell is clear iff its four corners are all positive or all negative
+    cells = tuple(tuple(map(bool, (every ^ ((tp & bp) | (tn & bn))).to_bytes(cols, "little")))
+                  for (tp, tn), (bp, bn) in pairwise(pairs))
     return RasterGrid(window, cols, rows, cells)
 
 
@@ -89,6 +114,14 @@ def corner_signs(f: Polynomial, window: Window, cols: int, rows: int) -> Iterato
     Corner (i, j) is (xmin + j*dx, ymax - i*dy).  The window must hold
     Fractions and f be nonzero, as raster_plane_curve checks.
     """
+    for pos, neg in _corner_masks(f, window, cols, rows):
+        yield list(map(sub, pos.to_bytes(cols + 1, "little"), neg.to_bytes(cols + 1, "little")))
+
+
+def _corner_masks(f: Polynomial, window: Window, cols: int,
+                  rows: int) -> Iterator[tuple[int, int]]:
+    """(pos, neg) for each row of grid corners, top row first: byte j of pos is 1
+    where f > 0 at column j, of neg where f < 0, and 0 elsewhere."""
     xmin, xmax, ymin, ymax = window
     dx, dy = (xmax - xmin) / cols, (ymax - ymin) / rows
     # x_j = xmin + j*dx = (u + j*w)/s and y_i = ymax - i*dy = (a - i*b)/q on ints
@@ -107,16 +140,46 @@ def corner_signs(f: Polynomial, window: Window, cols: int, rows: int) -> Iterato
     if bits > CORNER_BIT_LIMIT:
         raise TooLarge(f"the corner values of a {cols}x{rows} raster reach about {bits} bits, "
                        f"over the limit of {CORNER_BIT_LIMIT}")
+    # word steps: a corner takes one step per x-degree k of f, a pass over the 64-bit words of
+    # a corner value plus ~24 words of interpreter overhead, and a row raises each term's t and
+    # y to their powers, ~32 steps a word
+    ks = sorted({ex for ex, _ in terms}, reverse=True)
+    words = bits // 64 + 1
+    work = (rows + 1) * ((cols + 1) * len(ks) * (words + 24) + len(terms) * words * 32)
+    if work > RASTER_WORK_LIMIT:
+        raise TooLarge(f"a {cols}x{rows} raster of {len(ks)} x-degrees, {len(terms)} terms and "
+                       f"{bits}-bit corner values takes about {work} word steps, over the "
+                       f"limit of {RASTER_WORK_LIMIT}")
     # C_k = s^(e-k) times the k-th x-coefficient of L*f, homogenized to degree d
     parts: dict[int, dict] = {}
     for (ex, ey), c in terms.items():
         parts.setdefault(ex, {})[(d - ey, ey)] = c * s ** (e - ex)
-    ks = sorted(parts, reverse=True)
     coeffs = [Polynomial._from_raw(_ROW_RING, parts[k]) for k in ks]
+    xs = range(u, u + (cols + 1) * w, w)  # X_j
+
+    lane = (bits + 9) // 8  # bytes: W = 8*lane is the least multiple of 8 >= bits + 2
+    if lane <= LANE_CAP:
+        n, half = (cols + 1) * lane, 1 << (8 * lane - 1)
+        ones = int.from_bytes((b"\1" + bytes(lane - 1)) * (cols + 1), "little")
+        off = ones * half  # 2^(W-1) in every lane
+
+        def top_bytes(r: int) -> int:  # byte j is 1 where lane j's top byte is >= 0x80
+            return int.from_bytes(r.to_bytes(n, "little")[lane - 1::lane].translate(_TOP),
+                                  "little")
+
+        # P_k = sum_j X_j^k * 2^(W*j): as |X_j^k| < 2^bits, X_j^k + half fills lane j unsigned
+        packed = [int.from_bytes(b"".join([(x ** k + half).to_bytes(lane, "little")
+                                           for x in xs]), "little") - off for k in ks]
+        every = int.from_bytes(b"\1" * (cols + 1), "little")
+        for i in range(rows + 1):
+            point = (q, a - i * b)
+            row = sum([c.evaluate(point).value * p for c, p in zip(coeffs, packed)], off)
+            yield top_bytes(row - ones), every ^ top_bytes(row)  # v_j >= 1, not v_j >= 0
+        return
+
     # Horner over the x-degrees f has; the last gap runs down to degree 0
     gaps = [k - k1 for k, k1 in pairwise(ks + [0])]
-    powers = {g: [x ** g for x in range(u, u + (cols + 1) * w, w)] for g in set(gaps) if g}
-
+    powers = {g: [x ** g for x in xs] for g in set(gaps) if g}
     for i in range(rows + 1):
         point = (q, a - i * b)
         top, *lower = [c.evaluate(point).value for c in coeffs]  # L*q^d*s^(e-k)*c_k(y_i)
@@ -125,7 +188,8 @@ def corner_signs(f: Polynomial, window: Window, cols: int, rows: int) -> Iterato
             vals = [v * p + cy for v, p in zip(vals, powers[gap])]
         if gaps[-1]:
             vals = list(map(mul, vals, powers[gaps[-1]]))
-        yield [(v > 0) - (v < 0) for v in vals]
+        yield (int.from_bytes(bytes([v > 0 for v in vals]), "little"),
+               int.from_bytes(bytes([v < 0 for v in vals]), "little"))
 
 
 def ascii_rows(grid: RasterGrid) -> list[str]:

@@ -68,6 +68,12 @@ CAPPED_REPROS = [
     (["plot", "--res", "999", "--window", "-1/3:2/7,-5/11:3/13", "x^100 - y"], 0, 2.0, None),
     # ran until killed building X_j^(10^14) before the corner values' bits were estimated
     (["plot", "--res", "8", "x^100000000000000 - y"], 3, 1.0, "limit of"),
+    # 11.8 s and 10.6 s under the corner-bit limit, before the raster's work was estimated
+    (["plot", "--res", "999", "y^9000 - x"], 3, 1.0, "limit of"),
+    (["plot", "--res", "999", "--window", "-1/3:2/7,-5/11:3/13", "(x+1)^60 - y"], 3, 1.0,
+     "limit of"),
+    # 9.7 s raising each of 602 terms to its powers on every row
+    (["plot", "--res", "2x999", "(y+1)^600 - x"], 3, 1.0, "limit of"),
 ]
 
 

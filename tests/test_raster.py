@@ -303,3 +303,63 @@ def test_the_corner_bit_estimate_bounds_every_corner_value(text, monkeypatch):
         monkeypatch.setattr(raster, "CORNER_BIT_LIMIT", bits - 1)
         with pytest.raises(TooLarge, match=f"over the limit of {bits - 1}"):
             list(corner_signs(f, window, 6, 4))
+
+
+# -- packed lanes: the cell rule on both row paths, lane edges and the work budget --
+
+@pytest.mark.parametrize("cap", [raster.LANE_CAP, 0], ids=["default", "horner"])
+def test_cells_follow_the_four_corner_rule_on_both_row_paths(cap, monkeypatch):
+    # a lane cap of 0 sends every raster down the Horner fallback
+    monkeypatch.setattr(raster, "LANE_CAP", cap)
+    rng = random.Random(24)
+    cases = [(random_curve(ring, rng), random_window(rng), rng.randint(2, 13),
+              rng.randint(2, 11)) for ring in (RQ2, RZ2) for _ in range(40)]
+    cases += [(parse_polynomial(text, RQ2), window, 6, 4)
+              for text in ("x", "x*y", "x^3*y - x*y^3", "y^2 - x^2*(x+1)", "x^4 + y^4 - 1/16")
+              for window in ((-1, 1, -1, 1), (-2, 2, -1, 1),
+                             (Fraction(-1, 2), Fraction(1, 2), -1, 1))]
+    cases += [(over(ring, text), xs + ys, 9, 7) for ring in (RQ2, RZ2) for text in SPARSE_CURVES
+              for xs, ys in ((NARROW, COPRIME), (WIDE, COPRIME), (NARROW, WIDE))]
+    for f, window, cols, rows in cases:
+        window = tuple(Fraction(v) for v in window)
+        assert raster_plane_curve(f, window, cols, rows).cells == oracle_cells(f, window, cols,
+                                                                               rows)
+
+
+# columns X_j = -15..15 (s = 1, 4 bits a degree) and rows y = 1, 0, -1 (1 bit a degree), so
+# x^7 reads 7*4 + 1 (the coefficient) + 1 (one term) = 30 bits and its largest corner value,
+# 15^7, is within 3 bits of that bound
+LATTICE = (Fraction(-15), Fraction(15), Fraction(-1), Fraction(1))
+
+
+@pytest.mark.parametrize("text, bits", [
+    ("x^7", 30), ("-x^6*y^4", 30), ("x^6*y^3 - x^2*y", 30),  # bits + 2 = 32: 4-byte lanes
+    ("3*x^7", 31), ("x^7*y", 31), ("x^6*y^3 - 2*x^2*y", 31),  # bits + 2 = 33: 5-byte lanes
+])
+def test_rows_on_and_one_bit_past_a_lane_byte_boundary(text, bits, monkeypatch):
+    f = parse_polynomial(text, RQ2)
+    assert_matches_oracle(f, LATTICE, 30, 2)
+    assert_matches_oracle(f, LATTICE[:2] + (Fraction(-1, 2), Fraction(1)), 30, 3)
+    monkeypatch.setattr(raster, "CORNER_BIT_LIMIT", bits - 1)
+    with pytest.raises(TooLarge, match=f"about {bits} bits"):
+        list(corner_signs(f, LATTICE, 30, 2))
+
+
+FAR = (Fraction(-1, 3), Fraction(2, 7)) + COPRIME  # the window of the capped repros
+
+
+def test_the_work_budget_refuses_before_the_first_row(monkeypatch):
+    evaluate, seen = Polynomial.evaluate, []
+    monkeypatch.setattr(Polynomial, "evaluate",
+                        lambda g, point: seen.append(point) or evaluate(g, point))
+    with pytest.raises(TooLarge, match="2 x-degrees, 2 terms and 99014-bit corner values takes "
+                                       "about 3243072000 word steps, over the limit of 1000000000"):
+        raster_plane_curve(parse_polynomial("y^9000 - x", RQ2), SQUARE, 999, 999)
+    with pytest.raises(TooLarge, match="61 x-degrees, 62 terms and 981-bit corner values"):
+        raster_plane_curve(parse_polynomial("(x+1)^60 - y", RQ2), FAR, 999, 999)
+    with pytest.raises(TooLarge, match="602 terms and 7208-bit corner values"):
+        raster_plane_curve(parse_polynomial("(y+1)^600 - x", RQ2), SQUARE, 2, 999)
+    assert seen == []
+    # the sparse degree-900 rows at res 999 (2-3 s each) are admitted: their first row is out
+    for text in ("y^900 - x", "x^900 - y"):
+        assert len(next(corner_signs(parse_polynomial(text, RQ2), FAR, 999, 999))) == 1000
