@@ -10,9 +10,9 @@ exactness.
 The signs come from one integer per corner row, with no Fraction per
 corner: x_j = xmin + j*dx = (u + j*w)/s and y_i = ymax - i*dy = (a - i*b)/q
 on ints.  Write f = sum_k c_k(y) x^k, with L the lcm of its coefficient
-denominators and e, d its largest x- and y-degrees.  Each homogenized
-C_k(t, y) = s^(e-k) sum_m L*c_{k,m} t^(d-m) y^m has integer coefficients, and
-with X_j = u + j*w, v_j = sum_k C_k(q, a - i*b) X_j^k = L*q^d*s^e*f(x_j, y_i):
+denominators and e, d its largest x- and y-degrees.  Each
+C_k(y) = sum_m L*c_{k,m} s^(e-k) q^(d-m) y^m has integer coefficients, and
+with X_j = u + j*w, v_j = sum_k C_k(a - i*b) X_j^k = L*q^d*s^e*f(x_j, y_i):
 one positive multiple at every corner, so every sign survives, zeros
 included.  Before any power is built, |v_j| < 2^bits is bounded from e, d,
 the lattice ends and L*f (past CORNER_BIT_LIMIT the raster is refused), and
@@ -22,17 +22,17 @@ RASTER_WORK_LIMIT.
 
 A row is one packed integer (Kronecker substitution).  Lanes are W bits, W
 the least multiple of 8 with W >= bits + 2, and P_k = sum_j X_j^k 2^(W*j) is
-built once per raster for each x-degree k that f has.  Then R = OFF +
-sum_k C_k(q, a - i*b) P_k, with OFF = 2^(W-1) in every lane, holds
-v_j + 2^(W-1) in lane j; as |v_j| < 2^(W-2) that stays inside [0, 2^W), so no
-lane borrows and the lanes are R's base-2^W digits.  A lane's top byte is
->= 0x80 exactly when v_j >= 0, and the same read of R minus 1 in every lane
-gives v_j >= 1: one byte per column of a pos and a neg mask.  Lanes are
-capped at LANE_CAP bytes; a wider raster runs Horner in X_j over the
-x-degrees f has, with X_j^gap columns, and makes the same masks.  Byte c of
-pos & (pos >> 8) is set where corners c and c+1 are both positive, and a
-cell is clear exactly when that holds on both its corner rows, or the same
-for neg: all four corners positive or all four negative.
+built once per raster for each x-degree k that f has, then the row polynomial
+R(y) = sum_k C_k(y) P_k, in y alone.  Row i is OFF + R(a - i*b), with OFF =
+2^(W-1) in every lane: it holds v_j + 2^(W-1) in lane j, and as |v_j| <
+2^(W-2) that stays inside [0, 2^W), so no lane borrows and the lanes are its
+base-2^W digits.  A lane's top byte is >= 0x80 exactly when v_j >= 0, and the
+same read of the row minus 1 in every lane gives v_j >= 1: one byte per
+column of a pos and a neg mask.  Lanes are capped at LANE_CAP bytes; a wider
+raster runs Horner in X_j over the x-degrees f has, with X_j^gap columns, and
+makes the same masks.  Byte c of pos & (pos >> 8) is set where corners c and
+c+1 are both positive, and a cell is clear exactly when that holds on both
+its corner rows, or the same for neg: all four positive or all four negative.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ LANE_CAP = 16
 RASTER_WORK_LIMIT = 10**9
 # 1 for a byte >= 0x80, the top byte of a lane whose value is >= 0
 _TOP = bytes(byte >> 7 for byte in range(256))
-# the homogenized y-coefficients C_k(t, y) of a curve, evaluated at (q, a - i*b) per row
-_ROW_RING = PolyRing(ZZ, ("t", "y"))
+# the lattice y-coefficients C_k(y) of a curve and its row polynomial, evaluated at a - i*b
+_ROW_RING = PolyRing(ZZ, ("y",))
 
 
 @dataclass(frozen=True)
@@ -140,9 +140,10 @@ def _corner_masks(f: Polynomial, window: Window, cols: int,
     if bits > CORNER_BIT_LIMIT:
         raise TooLarge(f"the corner values of a {cols}x{rows} raster reach about {bits} bits, "
                        f"over the limit of {CORNER_BIT_LIMIT}")
-    # word steps: a corner takes one step per x-degree k of f, a pass over the 64-bit words of
-    # a corner value plus ~24 words of interpreter overhead, and a row raises each term's t and
-    # y to their powers, ~32 steps a word
+    # word steps, kept as an upper bound: a corner takes one step per x-degree k of f, a pass
+    # over the 64-bit words of a corner value plus ~24 words of interpreter overhead, and a row
+    # raises y to the powers its terms have, ~32 steps a word (a packed row multiplies one
+    # packed integer per y-degree instead, at most bits <= 8*LANE_CAP of them)
     ks = sorted({ex for ex, _ in terms}, reverse=True)
     words = bits // 64 + 1
     work = (rows + 1) * ((cols + 1) * len(ks) * (words + 24) + len(terms) * words * 32)
@@ -150,10 +151,10 @@ def _corner_masks(f: Polynomial, window: Window, cols: int,
         raise TooLarge(f"a {cols}x{rows} raster of {len(ks)} x-degrees, {len(terms)} terms and "
                        f"{bits}-bit corner values takes about {work} word steps, over the "
                        f"limit of {RASTER_WORK_LIMIT}")
-    # C_k = s^(e-k) times the k-th x-coefficient of L*f, homogenized to degree d
+    # C_k(y) = the k-th x-coefficient of L*f, its y^m term times s^(e-k) * q^(d-m)
     parts: dict[int, dict] = {}
     for (ex, ey), c in terms.items():
-        parts.setdefault(ex, {})[(d - ey, ey)] = c * s ** (e - ex)
+        parts.setdefault(ex, {})[(ey,)] = c * s ** (e - ex) * q ** (d - ey)
     coeffs = [Polynomial._from_raw(_ROW_RING, parts[k]) for k in ks]
     xs = range(u, u + (cols + 1) * w, w)  # X_j
 
@@ -171,9 +172,9 @@ def _corner_masks(f: Polynomial, window: Window, cols: int,
         packed = [int.from_bytes(b"".join([(x ** k + half).to_bytes(lane, "little")
                                            for x in xs]), "little") - off for k in ks]
         every = int.from_bytes(b"\1" * (cols + 1), "little")
+        poly = sum(c * p for c, p in zip(coeffs, packed))  # R(y) = sum_k C_k(y) * P_k
         for i in range(rows + 1):
-            point = (q, a - i * b)
-            row = sum([c.evaluate(point).value * p for c, p in zip(coeffs, packed)], off)
+            row = poly.evaluate((a - i * b,)).value + off
             yield top_bytes(row - ones), every ^ top_bytes(row)  # v_j >= 1, not v_j >= 0
         return
 
@@ -181,8 +182,7 @@ def _corner_masks(f: Polynomial, window: Window, cols: int,
     gaps = [k - k1 for k, k1 in pairwise(ks + [0])]
     powers = {g: [x ** g for x in xs] for g in set(gaps) if g}
     for i in range(rows + 1):
-        point = (q, a - i * b)
-        top, *lower = [c.evaluate(point).value for c in coeffs]  # L*q^d*s^(e-k)*c_k(y_i)
+        top, *lower = [c.evaluate((a - i * b,)).value for c in coeffs]  # L*q^d*s^(e-k)*c_k(y_i)
         vals = [top] * (cols + 1)
         for cy, gap in zip(lower, gaps):
             vals = [v * p + cy for v, p in zip(vals, powers[gap])]

@@ -591,6 +591,18 @@ def test_common_zeros_filters_when_the_generator_has_more_degrees_than_values(bu
         assert _scan_values(ideal) == _product_scan(ideal) and len(built) == columns
 
 
+def test_a_product_scan_is_charged_per_point_one_step_per_term_and_exponent_bit(monkeypatch):
+    ring = PolyRing(Fp(3), ("x", "y"))
+    ideal = IdealPresentation(ring, (parse_polynomial("y^4 + y^3 + y^2 + y + x", ring),))
+    # y^4, y^3, y^2, y and x take 1 + 3, 1 + 2, 1 + 2, 1 + 1 and 1 + 1 steps at each of 9 points
+    monkeypatch.setattr(polyideals, "SCAN_WORK_LIMIT", 9 * 14)
+    assert _scan_values(ideal) == _product_scan(ideal)
+    monkeypatch.setattr(polyideals, "SCAN_WORK_LIMIT", 9 * 14 - 1)
+    with pytest.raises(TooLarge, match=r"3\^2 points through a 5-term generator takes about 126 "
+                                       r"kernel steps, over the limit of 125"):
+        next(common_zeros(ideal))
+
+
 # -- the documented errors at the library's doors ------------------------------
 
 

@@ -278,6 +278,19 @@ def test_rows_evaluate_integer_coefficients_at_integer_points(monkeypatch):
         assert all(type(v) is int for v in point)
 
 
+def test_packed_rows_evaluate_one_row_polynomial_per_corner_row(monkeypatch):
+    evaluate, seen = Polynomial.evaluate, []
+    monkeypatch.setattr(Polynomial, "evaluate",
+                        lambda g, point: seen.append((g, point)) or evaluate(g, point))
+    f = parse_polynomial("x^3*y - 2/3*x + y^2 - 1", RQ2)  # 3 x-degrees, small lanes
+    list(corner_signs(f, SQUARE, 5, 3))
+    assert len(seen) == 4  # one row polynomial, evaluated once on each of the 4 corner rows
+    for g, point in seen:
+        assert g is seen[0][0] and g.ring.nvars == 1 and g.ring.domain == ZZ
+        assert all(type(c) is int for c in g.terms.values())
+        assert len(point) == 1 and type(point[0]) is int
+
+
 def largest_corner_value(f, window, cols, rows):
     """max |L*q^d*s^e*f| over the grid corners, from Fractions: the integer the row
     kernel forms at each corner."""
@@ -307,6 +320,9 @@ def test_the_corner_bit_estimate_bounds_every_corner_value(text, monkeypatch):
 
 # -- packed lanes: the cell rule on both row paths, lane edges and the work budget --
 
+Y_HEAVY = "x - (" + " + ".join(f"y^{m}" for m in range(1, 13)) + ")"
+
+
 @pytest.mark.parametrize("cap", [raster.LANE_CAP, 0], ids=["default", "horner"])
 def test_cells_follow_the_four_corner_rule_on_both_row_paths(cap, monkeypatch):
     # a lane cap of 0 sends every raster down the Horner fallback
@@ -320,6 +336,9 @@ def test_cells_follow_the_four_corner_rule_on_both_row_paths(cap, monkeypatch):
                              (Fraction(-1, 2), Fraction(1, 2), -1, 1))]
     cases += [(over(ring, text), xs + ys, 9, 7) for ring in (RQ2, RZ2) for text in SPARSE_CURVES
               for xs, ys in ((NARROW, COPRIME), (WIDE, COPRIME), (NARROW, WIDE))]
+    # more y-degrees than x-degrees: the packed row polynomial has one term per y-degree
+    cases += [(parse_polynomial(Y_HEAVY, RQ2), window, 9, 7)
+              for window in (SQUARE, (-1, 1, -1, 1), WIDE + WIDE, NARROW + WIDE)]
     for f, window, cols, rows in cases:
         window = tuple(Fraction(v) for v in window)
         assert raster_plane_curve(f, window, cols, rows).cells == oracle_cells(f, window, cols,

@@ -7,6 +7,7 @@ import pytest
 
 import ringlab
 from ringlab import cli, polyideals
+from ringlab.polynomials import Polynomial
 
 SRC = Path(ringlab.__file__).parent
 BENCH_SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -75,6 +76,7 @@ WORKLOAD_COMMANDS = {
     "plot": [
         ["plot", "--res", "8", "x^2+y^2-1"],
         ["plot", "--res", "8", "--format", "svg", "y^2-x^3-x^2"],
+        ["plot", "--res", "8", "y^60 - x"],  # lanes past raster.LANE_CAP: the Horner rows
     ],
 }
 
@@ -94,6 +96,20 @@ def test_benchmark_workload_reaches_every_traced_function(workload):
     finally:
         tracer.uninstall()
     assert tracer.missing_calls(workload) == []
+
+
+def test_the_plot_commands_run_both_row_paths(monkeypatch):
+    # 9 corner rows at --res 8: a packed raster evaluates its row polynomial once a row, the
+    # Horner rows evaluate each of f's x-coefficients once a row (y^60 - x has two)
+    evaluate, calls = Polynomial.evaluate, []
+    monkeypatch.setattr(Polynomial, "evaluate",
+                        lambda g, point: calls.append(g) or evaluate(g, point))
+    counts = []
+    for argv in WORKLOAD_COMMANDS["plot"]:
+        calls.clear()
+        assert cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0, argv
+        counts.append(len(calls))
+    assert counts == [9, 9, 2 * 9]
 
 
 def test_usage_and_readme_list_the_command_table_in_order():
