@@ -43,9 +43,7 @@ from .polynomials import (WORK_LIMIT, Polynomial, PolyRing, _integer_terms, _ker
 RATIONAL_GRID_SPAN = 5
 MATRIX_CELL_LIMIT = 10_000_000  # rows x columns of one membership matrix
 SCAN_LIMIT = 1_000_000  # points in one F_p^n or Q-grid scan (variety, videal, member) or plot raster
-# kernel steps of one product scan, its points times one step per term and per exponent bit of
-# the first generator: 60-80 ns a step on a 2-vCPU host, where (x+1)^12 over F_999983 (4.6*10^7)
-# took 3.7 s and ten terms of degree ~10^18 there (5.5*10^8) took 40 s
+# kernel steps of one zero scan (see _fibre_zeros): 60-100 ns a step on a 2-vCPU host
 SCAN_WORK_LIMIT = 30_000_000
 
 
@@ -191,32 +189,17 @@ def solve_in_span(target: Polynomial, gens: Sequence[Polynomial],
 def common_zeros(ideal: IdealPresentation) -> Iterator[tuple[RingElement, ...]]:
     """The points of the scan where every generator vanishes, in scan order.
 
-    The scan is all of F_p^n (under the scan limit), or the integer grid over Q.
-    The first generator's zeros are constructed fibre by fibre (``_fibre_zeros``)
-    when it has at most as many distinct degrees in x_n as the scan has values and
-    their power columns fit 4 * SCAN_LIMIT slots; otherwise it filters the plain
-    product scan through its kernel, as the other generators filter the hits; a
-    product scan past SCAN_WORK_LIMIT kernel steps is refused before its first
-    point.  Everything runs on raw ints, and a value is wrapped in a ring element
-    the first time a hit uses it.
+    The scan is all of F_p^n (under the scan limit), or the integer grid over Q.  The first
+    generator's zeros (every point for the zero ideal) come from ``_fibre_zeros``, and the
+    others filter them on raw ints; a value is wrapped in a ring element on its first hit.
     """
     dom, n = ideal.ring.domain, ideal.ring.nvars
     grid = range(-RATIONAL_GRID_SPAN, RATIONAL_GRID_SPAN + 1)
     values = grid if dom == QQ else range(dom.modulus)
     check_scan_size(len(values), n)
-    gens = ideal.generators
-    degrees = len({exps[-1] for exps in gens[0].terms} - {0}) if gens else math.inf
-    if degrees <= len(values) and degrees * len(values) <= 4 * SCAN_LIMIT:
-        points, gens = _fibre_zeros(gens[0], values), gens[1:]
-    else:
-        steps = sum(1 + sum(e.bit_length() for e in exps) for g in gens[:1] for exps in g.terms)
-        work = len(values) ** n * steps
-        if work > SCAN_WORK_LIMIT:
-            raise TooLarge(f"a scan of {len(values)}^{n} points through a "
-                           f"{len(gens[0].terms)}-term generator takes about {work} kernel "
-                           f"steps, over the limit of {SCAN_WORK_LIMIT}")
-        points = itertools.product(values, repeat=n)
-    for g in gens:
+    first, *others = ideal.generators or (Polynomial.zero(ideal.ring),)
+    points = _fibre_zeros(first, values)
+    for g in others:
         points = itertools.filterfalse(g.evaluator(), points)
     wrap = _Elements(dom.element).__getitem__
     for point in points:
@@ -237,27 +220,40 @@ class _Elements(dict):
 def _fibre_zeros(g: Polynomial, values: range) -> Iterator[tuple[int, ...]]:
     """The zeros of g over values^n in lex order, found in the last coordinate.
 
-    Split g = sum_k c_k(x_1..x_{n-1}) x_n^k, over Q on the ints of D*g.  Over a
-    prefix x_1..x_{n-1}, x_n = values[i] is a zero exactly when column[i] is
-    -c_0(prefix) (mod p), where column[i] = sum_{k>=1} c_k(prefix) values[i]^k.
-    A column depends only on the higher coefficients, so it is built once per
-    distinct tuple of them and looked up for every prefix that repeats it
-    (the extension step of elimination; Cox, Little & O'Shea, ch. 3).
+    Split g = sum_k c_k(x_1..x_{n-1}) x_n^k, over Q on the ints of D*g, over F_p with
+    each k >= p folded to (k - 1) mod (p - 1) + 1 (v^p = v there).  Over a prefix,
+    x_n = values[i] is a zero exactly when column[i] = sum_{k>=1} c_k(prefix) values[i]^k
+    is -c_0(prefix) (mod p); a column is built once per distinct tuple of higher
+    coefficients (the extension step of elimination; Cox, Little & O'Shea, ch. 3).
+    Kernel steps past SCAN_WORK_LIMIT raise TooLarge.  The first column is charged with
+    what every scan does, g at each prefix (a step per term and exponent bit) and v^k
+    (a step per degree and its bits), and each column with a step per slot and degree,
+    so a scan whose columns alone pass the limit is refused only once it has spent it.
     """
-    m = g.ring.domain.modulus
+    m, n = g.ring.domain.modulus, g.ring.nvars
     split: dict[int, dict] = {}  # k -> the int terms of c_k, on x_1..x_{n-1}
     for exps, c in (g.terms if m else _integer_terms(g.terms)[0]).items():
-        split.setdefault(exps[-1], {})[exps[:-1]] = c
+        k = (exps[-1] - 1) % (m - 1) + 1 if m and exps[-1] >= m else exps[-1]
+        c_k = split.setdefault(k, {})
+        c_k[exps[:-1]] = c_k.get(exps[:-1], 0) + c
     c0 = _kernel(split.pop(0, {}), m)
     degrees = sorted(split)
     highs = [_kernel(split[k], m) for k in degrees]
+    steps = sum(1 + sum(e.bit_length() for e in exps) for exps in g.terms)
+    spent = len(values) ** (n - 1) * steps + len(values) * sum(1 + k.bit_length() for k in degrees)
     powers = [map(pow, values, itertools.repeat(k), itertools.repeat(m)) for k in degrees]
-    powers = [array("q", power) if m else list(power) for power in powers]  # v^k (mod p)
+    if n > 1:  # v^k (mod p), read by every column; one univariate column streams them
+        powers = [array("q", power) if m else list(power) for power in powers]
     columns: dict[tuple, array | list] = {}
-    for prefix in itertools.product(values, repeat=g.ring.nvars - 1):
+    for prefix in itertools.product(values, repeat=n - 1):
         key = tuple([c(prefix) for c in highs])
         column = columns.get(key)
         if column is None:
+            spent += len(values) * len(degrees)
+            if spent > SCAN_WORK_LIMIT:
+                raise TooLarge(f"a scan of {len(values)}^{n} points through a {len(g.terms)}-term "
+                               f"generator takes about {spent} kernel steps, over the limit of "
+                               f"{SCAN_WORK_LIMIT}")
             column = columns[key] = _column(key, powers, m, len(values))
         target, start = -c0(prefix) % m if m else -c0(prefix), 0
         while True:
@@ -271,11 +267,14 @@ def _fibre_zeros(g: Polynomial, values: range) -> Iterator[tuple[int, ...]]:
 
 def _column(key: tuple, powers: list, m: int | None, size: int) -> array | list:
     """sum_k key[k] * powers[k] slot by slot: an int64 array mod m, or a list of exact ints.
-    The maps nest one level per nonzero key[k], at most as deep as the scan is wide."""
+    Over F_p the maps nest once per nonzero key[k], under p - 1 deep; over Q, where ~10^5
+    nested maps overflow the C stack, each nonzero key[k] lands in a list of 11 slots."""
     column = itertools.repeat(0, size)
     for c, power in zip(key, powers):
         if c:
             column = map(add, column, map(mul, itertools.repeat(c), power))
+            if not m:
+                column = list(column)
     return array("q", map(mod, column, itertools.repeat(m))) if m else list(column)
 
 

@@ -79,6 +79,11 @@ CAPPED_REPROS = [
     (["variety", "--field", "fp:999983", "--vars", "x", "(x+1)^200"], 3, 1.0, "limit of"),
     (["member", "--vars", "a,b,c,d,e", "--bound", "0", "1", "(a+b+c+d+e)^12+1"], 3, 1.0,
      "limit of"),
+    # 8-14 s on the fibre scan before its columns were charged
+    (["variety", "--field", "fp:997", "--vars", "x,y", "(x+y+1)^80"], 3, 2.0, "limit of"),
+    # a witness at the grid's first point, refused while the whole grid was charged up front
+    (["member", "--vars", "a,b,c,d,e", "--bound", "0", "1",
+      "(a+5)*(e^12+e^11+e^10+e^9+e^8+e^7+e^6+e^5+e^4+e^3+e^2+e+1)*(b+c+d+1)"], 0, 1.0, None),
 ]
 
 

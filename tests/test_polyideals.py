@@ -550,7 +550,7 @@ def test_common_zeros_match_the_product_scan(field, nvars):
     ["x*z^2 + y*z + x"],  # the higher coefficients differ on every prefix
     ["x*z - 1", "y - z^2"],  # two generators
     ["z^9 + 2*z^2 - x*y^4*z^8"],  # exponents past p - 1
-    # more degrees in z than F_7 has values: filtered through the kernel over F_7
+    # more degrees in z than F_7 has values: folded onto degrees 1-6 over F_7
     ["z^8 + z^7 + 2*z^6 + z^5 + z^4 + 3*z^3 + z^2 + x*z + y"],
 ])
 def test_common_zeros_edge_shapes(field, gens):
@@ -583,24 +583,40 @@ def test_common_zeros_builds_columns_only_as_far_as_the_first_hit(built):
     assert [c.value for c in first] == [1, 1] and built == [(0,), (1,)]
 
 
-def test_common_zeros_filters_when_the_generator_has_more_degrees_than_values(built):
+def test_common_zeros_fold_exponents_of_the_last_variable_before_building_columns(built):
     ring = PolyRing(Fp(3), ("x", "y"))
-    for text, columns in (("y^4 + y^3 + y^2 + y + x", 0), ("y^2 + x*y + 1", 3)):
+    # v^4 = v^2 and v^3 = v on F_3: the first is 2*y^2 + 2*y + x, one column on degrees 1 and 2
+    for text, keys in (("y^4 + y^3 + y^2 + y + x", [(2, 2)]),
+                       ("y^2 + x*y + 1", [(0, 1), (1, 1), (2, 1)])):
         ideal = IdealPresentation(ring, (parse_polynomial(text, ring),))
         built.clear()
-        assert _scan_values(ideal) == _product_scan(ideal) and len(built) == columns
+        assert _scan_values(ideal) == _product_scan(ideal) and built == keys
 
 
-def test_a_product_scan_is_charged_per_point_one_step_per_term_and_exponent_bit(monkeypatch):
+def test_a_q_column_sums_any_number_of_degrees_without_nesting_maps():
+    # some 10^5 nested maps overflow the C stack; a Q generator may have that many degrees
+    key, powers = (1,) * 200_000, [range(-5, 6)] * 200_000
+    assert polyideals._column(key, powers, None, 11) == [200_000 * v for v in range(-5, 6)]
+
+
+def test_a_zero_scan_is_charged_before_its_first_point_and_per_fibre_column(monkeypatch):
     ring = PolyRing(Fp(3), ("x", "y"))
-    ideal = IdealPresentation(ring, (parse_polynomial("y^4 + y^3 + y^2 + y + x", ring),))
-    # y^4, y^3, y^2, y and x take 1 + 3, 1 + 2, 1 + 2, 1 + 1 and 1 + 1 steps at each of 9 points
-    monkeypatch.setattr(polyideals, "SCAN_WORK_LIMIT", 9 * 14)
-    assert _scan_values(ideal) == _product_scan(ideal)
-    monkeypatch.setattr(polyideals, "SCAN_WORK_LIMIT", 9 * 14 - 1)
-    with pytest.raises(TooLarge, match=r"3\^2 points through a 5-term generator takes about 126 "
-                                       r"kernel steps, over the limit of 125"):
-        next(common_zeros(ideal))
+    ideal = IdealPresentation(ring, (parse_polynomial("y^2 + x*y + 1", ring),))
+    # up front: y^2, x*y and 1 take 1 + 2, 1 + 1 + 1 and 1 steps at each of 3 prefixes, and
+    # v^1 and v^2 take 1 + 1 and 1 + 2 steps for each of 3 values; then 3 slots * 2 degrees
+    # for each of the 3 columns, the first built before the first point
+    upfront = 3 * 7 + 3 * 5
+    monkeypatch.setattr(polyideals, "SCAN_WORK_LIMIT", upfront + 3 * 6)
+    assert _scan_values(ideal) == _product_scan(ideal) == [(1, 1), (2, 2)]
+    for columns, before in ((1, []), (2, []), (3, [(1, 1)])):
+        spent = upfront + columns * 6
+        monkeypatch.setattr(polyideals, "SCAN_WORK_LIMIT", spent - 1)
+        got = []
+        with pytest.raises(TooLarge, match=rf"3\^2 points through a 3-term generator takes about "
+                                           rf"{spent} kernel steps, over the limit of {spent - 1}"):
+            for point in common_zeros(ideal):
+                got.append(tuple(c.value for c in point))
+        assert got == before
 
 
 # -- the documented errors at the library's doors ------------------------------
