@@ -23,18 +23,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
+from .polynomials import _integer_terms
+
 Row = dict[int, int]
-
-
-def _integer_row(row: Sequence) -> Row:
-    """The nonzero entries of a row of ints and Fractions, scaled to integers by the lcm
-    of their denominators (read straight off each entry: an int's is 1)."""
-    entries = {j: x for j, x in enumerate(row) if x}
-    scale = lcm(*(x.denominator for x in entries.values()))
-    return {j: x.numerator * (scale // x.denominator) for j, x in entries.items()}
 
 
 def _residue_row(row: Sequence[int], p: int) -> Row:
@@ -111,7 +105,8 @@ def solve_rational(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | 
     solution in column order.
     """
     ncols = len(rows[0]) if rows else 0
-    return _solve([_integer_row([*row, b]) for row, b in zip(rows, rhs)], ncols, 0)
+    return _solve([_integer_terms({j: x for j, x in enumerate([*row, b]) if x})[0]
+                   for row, b in zip(rows, rhs)], ncols, 0)
 
 
 def solve_mod_p(rows: Sequence[Sequence[int]], rhs: Sequence[int], p: int) -> list[int] | None:

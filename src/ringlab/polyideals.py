@@ -217,30 +217,44 @@ class _Elements(dict):
         return e
 
 
+def _fold(k: int, p: int) -> int:
+    """The exponent below p that x^k equals as a function on F_p (v^p = v): k if k < p."""
+    return k if k < p else (k - 1) % (p - 1) + 1
+
+
 def _fibre_zeros(g: Polynomial, values: range) -> Iterator[tuple[int, ...]]:
     """The zeros of g over values^n in lex order, found in the last coordinate.
 
-    Split g = sum_k c_k(x_1..x_{n-1}) x_n^k, over Q on the ints of D*g, over F_p with
-    each k >= p folded to (k - 1) mod (p - 1) + 1 (v^p = v there).  Over a prefix,
-    x_n = values[i] is a zero exactly when column[i] = sum_{k>=1} c_k(prefix) values[i]^k
-    is -c_0(prefix) (mod p); a column is built once per distinct tuple of higher
-    coefficients (the extension step of elimination; Cox, Little & O'Shea, ch. 3).
-    Kernel steps past SCAN_WORK_LIMIT raise TooLarge.  The first column is charged with
-    what every scan does, g at each prefix (a step per term and exponent bit) and v^k
-    (a step per degree and its bits), and each column with a step per slot and degree,
-    so a scan whose columns alone pass the limit is refused only once it has spent it.
+    Split g = sum_k c_k(x_1..x_{n-1}) x_n^k, over Q on the ints of D*g, over F_p with each
+    k folded to _fold(k, p).  Over a prefix, x_n = values[i] is a zero exactly when column[i]
+    = sum_{k>=1} c_k(prefix) values[i]^k is -c_0(prefix) (mod p); a column is built once per
+    distinct tuple of higher coefficients (the extension step of elimination; Cox, Little &
+    O'Shea, ch. 3).  Kernel steps past SCAN_WORK_LIMIT raise TooLarge.  Before any kernel,
+    the first column is charged with what every scan does, g at each prefix (a step per term
+    and exponent bit) and v^k (a step per degree and its bits, over Q one per 64 bits of v^k
+    too), and each column with a step per slot and degree.
     """
     m, n = g.ring.domain.modulus, g.ring.nvars
     split: dict[int, dict] = {}  # k -> the int terms of c_k, on x_1..x_{n-1}
     for exps, c in (g.terms if m else _integer_terms(g.terms)[0]).items():
-        k = (exps[-1] - 1) % (m - 1) + 1 if m and exps[-1] >= m else exps[-1]
+        k = _fold(exps[-1], m) if m else exps[-1]
         c_k = split.setdefault(k, {})
         c_k[exps[:-1]] = c_k.get(exps[:-1], 0) + c
     c0 = _kernel(split.pop(0, {}), m)
     degrees = sorted(split)
-    highs = [_kernel(split[k], m) for k in degrees]
     steps = sum(1 + sum(e.bit_length() for e in exps) for exps in g.terms)
-    spent = len(values) ** (n - 1) * steps + len(values) * sum(1 + k.bit_length() for k in degrees)
+    spent = len(values) ** (n - 1) * steps + len(values) * sum(  # over Q v^k has <= 3k bits
+        1 + k.bit_length() + (0 if m else k * values[-1].bit_length() >> 6) for k in degrees)
+
+    def charged() -> int:  # spent with one more column, or TooLarge past the limit
+        total = spent + len(values) * len(degrees)
+        if total > SCAN_WORK_LIMIT:
+            raise TooLarge(f"a scan of {len(values)}^{n} points through a {len(g.terms)}-term "
+                           f"generator takes about {total} kernel steps, over the limit of "
+                           f"{SCAN_WORK_LIMIT}")
+        return total
+    charged()  # the first column's check, made before a kernel or power is built
+    highs = [_kernel(split[k], m) for k in degrees]
     powers = [map(pow, values, itertools.repeat(k), itertools.repeat(m)) for k in degrees]
     if n > 1:  # v^k (mod p), read by every column; one univariate column streams them
         powers = [array("q", power) if m else list(power) for power in powers]
@@ -249,11 +263,7 @@ def _fibre_zeros(g: Polynomial, values: range) -> Iterator[tuple[int, ...]]:
         key = tuple([c(prefix) for c in highs])
         column = columns.get(key)
         if column is None:
-            spent += len(values) * len(degrees)
-            if spent > SCAN_WORK_LIMIT:
-                raise TooLarge(f"a scan of {len(values)}^{n} points through a {len(g.terms)}-term "
-                               f"generator takes about {spent} kernel steps, over the limit of "
-                               f"{SCAN_WORK_LIMIT}")
+            spent = charged()
             column = columns[key] = _column(key, powers, m, len(values))
         target, start = -c0(prefix) % m if m else -c0(prefix), 0
         while True:

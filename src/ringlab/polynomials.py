@@ -2,10 +2,10 @@
 
 Terms live in a dict from exponent tuples to nonzero raw coefficients; the
 zero polynomial has no terms.  ``Polynomial(...)`` checks and canonicalizes
-outside terms; the library's own go through ``Polynomial._from_raw``, which
-reduces each coefficient once (Z -> Z/n is a ring map) and checks nothing,
-so a stored zero coefficient can never be observed.  Monomials are compared in
-lexicographic order of the declared variables, the one order every writer uses.
+outside terms; the library's own, zero/one/constant/variable's too, go through
+``Polynomial._from_raw``, which reduces each coefficient once (Z -> Z/n is a ring
+map) and checks nothing, so a stored zero coefficient can never be observed.  Monomials
+are compared in lexicographic order of the declared variables, the one order every writer uses.
 
 Every product and power runs one term-pair loop, ``_raw_product``.  Over Q
 it runs on integer numerators over one denominator (Knuth, TAOCP vol. 2,
@@ -133,7 +133,7 @@ class Polynomial:
 
     @classmethod
     def zero(cls, ring: PolyRing) -> "Polynomial":
-        return cls(ring)
+        return cls._from_raw(ring, {})
 
     @classmethod
     def one(cls, ring: PolyRing) -> "Polynomial":
@@ -141,13 +141,13 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ring: PolyRing, value) -> "Polynomial":
-        return cls(ring, {(0,) * ring.nvars: value})
+        return cls._from_raw(ring, {(0,) * ring.nvars: ring.domain.canon(value)})
 
     @classmethod
     def variable(cls, ring: PolyRing, name: str) -> "Polynomial":
         i = ring.index_of(name)
         exps = tuple(1 if j == i else 0 for j in range(ring.nvars))
-        return cls(ring, {exps: 1})
+        return cls._from_raw(ring, {exps: ring.domain.one})
 
     # -- structure -----------------------------------------------------------
 
@@ -376,8 +376,8 @@ def _reduced(dom: Domain, raw: dict[tuple[int, ...], Value],
     return {e: c for e, c in raw.items() if c}
 
 
-def _integer_terms(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[dict, int]:
-    """(F, D) with D the lcm of the denominators of terms and F = D * terms, on ints."""
+def _integer_terms(terms: Mapping[object, Fraction | int]) -> tuple[dict, int]:
+    """(F, D) with D the lcm of the denominators of terms' values and F = D * terms, on ints."""
     den = math.lcm(*(c.denominator for c in terms.values()))
     return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from .domains import Fp, is_prime
 from .errors import DomainMismatch, InvalidDomain, RingMismatch, TooLarge, UnsupportedDomain
 from .linalg import nullspace_mod_p
-from .polyideals import (IdealPresentation, MEMBER, MembershipCertificate, check_scan_size,
-                         common_zeros)
+from .polyideals import (IdealPresentation, MEMBER, MembershipCertificate, _fold,
+                         check_scan_size, common_zeros)
 from .polynomials import WORK_LIMIT, Polynomial, PolyRing
 
 _DEFAULT_NAMES = ("x", "y", "z")
@@ -162,8 +162,8 @@ def _tensor(factors: list[list[int]], p: int) -> list[int]:
 def field_equations(ring: PolyRing) -> tuple[Polynomial, ...]:
     """x_i^p - x_i for each variable; they vanish on every point of F_p^n."""
     p = _require_prime_field_ring(ring)
-    xs = (Polynomial.variable(ring, name) for name in ring.variables)
-    return tuple(x ** p - x for x in xs)
+    units = ((0,) * i + (1,) + (0,) * (ring.nvars - 1 - i) for i in range(ring.nvars))
+    return tuple(Polynomial._from_raw(ring, {tuple(p * e for e in u): 1, u: -1}) for u in units)
 
 
 def vanishing_ideal(points: PointSet, variables: tuple[str, ...] | None = None) -> VanishingIdealResult:
@@ -320,15 +320,20 @@ def is_prime_vanishing_ideal(points: PointSet,
 def _reduce_by_field_equations(f: Polynomial, p: int) -> tuple[Polynomial, ...]:
     """(q_1, ..., q_n, r) with f = sum q_i (x_i^p - x_i) + r and r reduced.
 
-    Each step uses x_i^e = x_i^(e-p) (x_i^p - x_i) + x_i^(e-p+1) for e >= p.
+    x^k = x^(k-p) (x^p - x) + x^(k-p+1), applied while k >= p, leaves x^r, r = _fold(k, p),
+    under the quotient x^(k-p) + x^(k-2p+1) + ... + x^(r-1); x_1 is reduced first, then x_2,
+    and so on.  Quotient terms past WORK_LIMIT, counted before any is written, raise TooLarge.
     """
+    size = sum((k - _fold(k, p)) // (p - 1) for exps in f.terms for k in exps)
+    if size > WORK_LIMIT:
+        raise TooLarge(f"field-equation quotients of {size} terms exceed the limit of {WORK_LIMIT}")
     parts: list[dict] = [{} for _ in range(f.ring.nvars + 1)]
     for exps, c in f.terms.items():
         e = list(exps)
-        for i in range(len(e)):
-            while e[i] >= p:
-                e[i] -= p
-                parts[i][tuple(e)] = parts[i].get(tuple(e), 0) + c
-                e[i] += 1
+        for i, k in enumerate(exps):
+            e[i] = _fold(k, p)
+            for d in range(k - p, e[i] - 2, 1 - p):
+                q = (*e[:i], d, *e[i + 1:])
+                parts[i][q] = parts[i].get(q, 0) + c
         parts[-1][tuple(e)] = parts[-1].get(tuple(e), 0) + c
     return tuple(Polynomial._from_raw(f.ring, t) for t in parts)

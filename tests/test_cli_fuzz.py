@@ -84,6 +84,13 @@ CAPPED_REPROS = [
     # a witness at the grid's first point, refused while the whole grid was charged up front
     (["member", "--vars", "a,b,c,d,e", "--bound", "0", "1",
       "(a+5)*(e^12+e^11+e^10+e^9+e^8+e^7+e^6+e^5+e^4+e^3+e^2+e+1)*(b+c+d+1)"], 0, 1.0, None),
+    # ran past 120 s at 7.6 GB stepping x^p = x through 166 666 666 quotient terms
+    (["viv", "--field", "fp:7", "--vars", "x", "x^1000000000+x+1"], 3, 1.0, "limit of"),
+    (["viv", "--field", "fp:7", "--vars", "x", "x^1000000+x+1"], 0, 2.0, None),
+    # over 3.5 CPU minutes on exact powers v^k of 131 405 x-degrees, charged a step per bit of k
+    (["member", "--vars", "x", "--bound", "0", "1",
+      "(" + "+".join(f"x^{i}" for i in range(363)) + ")*("
+      + "+".join(f"x^{363 * j}" for j in range(362)) + ")"], 3, 3.0, "limit of"),
 ]
 
 

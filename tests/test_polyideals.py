@@ -619,6 +619,22 @@ def test_a_zero_scan_is_charged_before_its_first_point_and_per_fibre_column(monk
         assert got == before
 
 
+def test_a_q_scan_is_charged_by_the_size_of_its_powers_before_any_kernel_is_built(monkeypatch):
+    ring = PolyRing(QQ, ("x",))
+    ideal = IdealPresentation(ring, (parse_polynomial("x^128 + x^64 + 1", ring),))
+    # 1 prefix of 1 + 8, 1 + 7 and 1 steps; v^64 and v^128 take 1 + 7 + 3 and 1 + 8 + 6 steps
+    # for each of 11 values (v^k has up to 3k bits, a step per 64); then 11 slots * 2 degrees
+    spent = 18 + 11 * 26 + 11 * 2
+    monkeypatch.setattr(polyideals, "SCAN_WORK_LIMIT", spent)
+    assert list(common_zeros(ideal)) == []
+    kernel, built = polyideals._kernel, []
+    monkeypatch.setattr(polyideals, "_kernel", lambda *a: built.append(a) or kernel(*a))
+    monkeypatch.setattr(polyideals, "SCAN_WORK_LIMIT", spent - 1)
+    with pytest.raises(TooLarge, match=rf"takes about {spent} kernel steps"):
+        next(common_zeros(ideal))
+    assert len(built) == 1  # the constant term's, not one per degree
+
+
 # -- the documented errors at the library's doors ------------------------------
 
 

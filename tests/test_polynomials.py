@@ -14,6 +14,7 @@ from ringlab.errors import (
     NotUnivariate,
     RingMismatch,
     TooLarge,
+    UnknownVariable,
     ZeroPolynomial,
 )
 from ringlab import polynomials
@@ -196,6 +197,26 @@ def test_trusted_builders_store_only_nonzero_canonical_terms(builder, monkeypatc
         for c in p.terms.values():
             assert c != 0 and type(dom.canon(c)) is type(c) and dom.canon(c) == c, (p, c)
         assert Polynomial(p.ring, p.terms) == p
+
+
+@pytest.mark.parametrize("dom", [Zn(12), Zn(1), Fp(7), ZZ, QQ])
+def test_zero_one_constant_variable_build_what_the_validating_constructor_builds(dom):
+    ring = PolyRing(dom, ("x", "y"))
+
+    def same(built, terms):
+        want = Polynomial(ring, terms).terms
+        return built.terms == want and list(map(type, built.terms.values())) == list(
+            map(type, want.values()))
+
+    assert same(Polynomial.zero(ring), {}) and same(Polynomial.one(ring), {(0, 0): 1})
+    assert same(Polynomial.variable(ring, "y"), {(0, 1): 1})
+    for value in (0, 1, -3, 25, Fraction(4), "6"):
+        assert same(Polynomial.constant(ring, value), {(0, 0): value}), value
+    with pytest.raises(UnknownVariable):
+        Polynomial.variable(ring, "w")
+    if dom != QQ:
+        with pytest.raises(DomainMismatch):
+            Polynomial.constant(ring, Fraction(1, 2))
 
 
 @pytest.mark.parametrize("text, ring", [

@@ -112,6 +112,27 @@ def test_the_plot_commands_run_both_row_paths(monkeypatch):
     assert counts == [9, 9, 2 * 9]
 
 
+def test_no_command_reaches_the_validating_constructor(monkeypatch):
+    # Polynomial(...) validates outside terms; zero/one/constant/variable and every internal
+    # builder go through _from_raw, so the commands print the same with __init__ disabled
+    argvs = [argv for commands in WORKLOAD_COMMANDS.values() for argv in commands] + [
+        ["viv", "--field", "fp:7", "--vars", "x,y", "x^20*y - x*y^9", "x^8 - y^8"],
+        ["hbt", "--field", "fp:5", "x^3 - 1", "x^2 - 1", "x^9 + 4*x"],
+        ["member", "--field", "fp:3", "--bound", "2", "x^2*y - y", "x - 1", "y^2 - y"]]
+
+    def run(argv):
+        out = io.StringIO()
+        return cli.run(argv, stdout=out, stderr=io.StringIO()), out.getvalue()
+
+    expected = [run(argv) for argv in argvs]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("Polynomial.__init__ called")
+
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    assert [run(argv) for argv in argvs] == expected
+
+
 def test_usage_and_readme_list_the_command_table_in_order():
     table = list(cli.COMMANDS)
     usage_block = cli.USAGE.split("commands:\n")[1].split("\n\n")[0]

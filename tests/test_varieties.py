@@ -136,6 +136,55 @@ def test_field_equations_vanish_everywhere():
             assert eq.evaluate(tuple(RF3.domain.element(c) for c in pt)).is_zero
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 997])
+def test_field_equations_are_written_down_without_powering(p, monkeypatch):
+    rings = [PolyRing(Fp(p), varieties.default_variables(n)) for n in range(1, 5)]
+    with monkeypatch.context() as m:
+        m.setattr(Polynomial, "__pow__", None)
+        written = [field_equations(ring) for ring in rings]
+    for ring, equations in zip(rings, written):
+        xs = [Polynomial.variable(ring, name) for name in ring.variables]
+        assert equations == tuple(x ** p - x for x in xs)
+
+
+def _step_reduce(f, p):
+    """The oracle: x_i^e = x_i^(e-p) (x_i^p - x_i) + x_i^(e-p+1), one step at a time."""
+    parts = [{} for _ in range(f.ring.nvars + 1)]
+    for exps, c in f.terms.items():
+        e = list(exps)
+        for i in range(len(e)):
+            while e[i] >= p:
+                e[i] -= p
+                parts[i][tuple(e)] = parts[i].get(tuple(e), 0) + c
+                e[i] += 1
+        parts[-1][tuple(e)] = parts[-1].get(tuple(e), 0) + c
+    return tuple(Polynomial(f.ring, t) for t in parts)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_field_equation_reduction_matches_the_step_loop(p):
+    rng = random.Random(f"reduce {p}")
+    for n in (1, 2, 3):
+        ring = PolyRing(Fp(p), varieties.default_variables(n))
+        for _ in range(150):
+            f = Polynomial(ring, {tuple(rng.randint(0, 40) for _ in range(n)): rng.randrange(p)
+                                  for _ in range(rng.randint(0, 6))})
+            parts = varieties._reduce_by_field_equations(f, p)
+            assert parts == _step_reduce(f, p), f
+            assert all(e < p for exps in parts[-1].terms for e in exps)
+
+
+def test_field_equation_quotients_pass_at_their_count_and_refuse_one_under(monkeypatch):
+    # over F_3, x^40 leaves x^2 under 19 quotient terms, y^13 and x^9 leave x and y under 6 and 4
+    f = pf("x^40*y^13 + x^9", RF3)
+    monkeypatch.setattr(varieties, "WORK_LIMIT", 29)
+    *quotients, r = varieties._reduce_by_field_equations(f, 3)
+    assert sum(len(q.terms) for q in quotients) == 29 and r == pf("x^2*y + x", RF3)
+    monkeypatch.setattr(varieties, "WORK_LIMIT", 28)
+    with pytest.raises(TooLarge, match="quotients of 29 terms exceed the limit of 28"):
+        varieties._reduce_by_field_equations(f, 3)
+
+
 def test_reduced_monomials_count():
     assert len(reduced_monomials(2, 2)) == 4
     assert len(reduced_monomials(3, 2)) == 9
